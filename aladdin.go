@@ -173,13 +173,6 @@ func Run(k *Kernel, cfg Config) (*RunResult, error) { return soc.Run(k, cfg) }
 // should Compile once instead.
 func RunTrace(tr *Trace, cfg Config) (*RunResult, error) { return soc.RunTrace(tr, cfg) }
 
-// RunGraph simulates one invocation over a prebuilt graph, compiling it
-// internally.
-//
-// Deprecated: build the artifact once with Compile and call Run; RunGraph
-// recompiles the kernel on every call.
-func RunGraph(g *Graph, cfg Config) (*RunResult, error) { return soc.RunGraph(g, cfg) }
-
 // MultiResult is the outcome of a multi-accelerator run.
 type MultiResult = soc.MultiResult
 

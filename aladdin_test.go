@@ -52,11 +52,11 @@ func TestPublicAPIGraphReuse(t *testing.T) {
 	tr, _ := buildSaxpy(128)
 	g := gem5aladdin.BuildGraph(tr)
 	cfg := gem5aladdin.DefaultConfig()
-	a, err := gem5aladdin.RunGraph(g, cfg)
+	a, err := gem5aladdin.Run(gem5aladdin.Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := gem5aladdin.RunGraph(g, cfg)
+	b, err := gem5aladdin.Run(gem5aladdin.Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,15 +82,8 @@ func main() {
 	kern := soc.Compile(ddg.Build(tr))
 
 	cfg := soc.DefaultConfig()
-	switch *mem {
-	case "isolated":
-		cfg.Mem = soc.Isolated
-	case "dma":
-		cfg.Mem = soc.DMA
-	case "cache":
-		cfg.Mem = soc.Cache
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -mem %q\n", *mem)
+	if cfg.Mem, err = soc.ParseMemKind(*mem); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cfg.Lanes = *lanes

@@ -104,7 +104,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	kind, err := memKindOf(*mem)
+	kind, err := soc.ParseMemKind(*mem)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -114,28 +114,15 @@ func main() {
 	if *adapt {
 		sbase := base
 		sbase.Mem = kind
-		axes := dse.DefaultSearchAxes(kind)
-		if len(fabricAxis) > 0 {
-			vals := make([]int, len(fabricAxis))
-			for i, fk := range fabricAxis {
-				vals[i] = int(fk)
-			}
-			axes = append(axes, dse.SearchAxis{Name: "fabric", Values: vals})
-		}
-		sspace = dse.SearchSpace{Base: sbase, Axes: axes}
+		sspace = dse.SearchSpace{Base: sbase,
+			Axes: dse.WithFabricAxis(dse.DefaultSearchAxes(kind), fabricAxis)}
 		if err := sspace.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	} else {
-		switch kind {
-		case soc.Isolated, soc.DMA:
-			cfgs = dse.SpadConfigs(base, kind, opt.Lanes, opt.Partitions)
-		case soc.Cache:
-			cfgs = dse.CacheConfigs(base, opt.Lanes, opt.CacheKB, opt.CacheLines,
-				opt.CachePorts, opt.CacheAssoc)
-		}
-		cfgs = dse.WithFabrics(cfgs, fabricAxis)
+		opt.Fabrics = fabricAxis
+		cfgs = dse.GridConfigs(base, kind, opt)
 	}
 
 	// Ctrl-C abandons the sweep at the next design-point boundary instead of
@@ -275,19 +262,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// memKindOf resolves the -mem flag.
-func memKindOf(name string) (soc.MemKind, error) {
-	switch name {
-	case "isolated":
-		return soc.Isolated, nil
-	case "dma":
-		return soc.DMA, nil
-	case "cache":
-		return soc.Cache, nil
-	}
-	return 0, fmt.Errorf("unknown -mem %q", name)
 }
 
 // progressLine is the shared -progress format for the grid and search

@@ -41,40 +41,10 @@ func Sweep(ctx context.Context, k *Kernel, cfgs []Config, opts SweepOptions) (De
 	return dse.Sweep(ctx, k, cfgs, opts)
 }
 
-// SweepN sweeps a prebuilt graph with explicit worker-pool sizing and
-// progress reporting, compiling the kernel internally.
-//
-// Deprecated: Compile once and call Sweep with SweepOptions{Workers,
-// Progress}.
-func SweepN(g *Graph, cfgs []Config, workers int, progress func(done, total int)) (DesignSpace, error) {
-	return dse.Sweep(context.Background(), Compile(g), cfgs, SweepOptions{Workers: workers, Progress: progress})
-}
-
-// SweepCtx is SweepN under a context, compiling the kernel internally.
-//
-// Deprecated: Compile once and call Sweep.
-func SweepCtx(ctx context.Context, g *Graph, cfgs []Config, workers int, progress func(done, total int)) (DesignSpace, error) {
-	return dse.Sweep(ctx, Compile(g), cfgs, SweepOptions{Workers: workers, Progress: progress})
-}
-
-// PointFailure describes one design point a fault-isolated sweep could not
-// evaluate: the config, the failure class, and the attempts spent.
-type PointFailure = dse.PointFailure
-
 // RetryPolicy bounds how a sweep retries an aborted design point before
 // recording it as failed; only fault-injection aborts are retried (stalls
 // and sanitizer violations are deterministic properties of the config).
 type RetryPolicy = dse.RetryPolicy
-
-// SweepIsolated evaluates every configuration like Sweep, but degrades any
-// per-point failure — robustness-layer aborts and genuine simulation errors
-// alike — to a PointFailure record instead of dropping it silently or
-// failing the whole sweep: the space holds the survivors, the failure list
-// enumerates the rest, and only a context cancellation fails the call. This
-// is the engine behind the sweep service's resumable jobs.
-func SweepIsolated(ctx context.Context, k *Kernel, cfgs []Config, opts SweepOptions) (DesignSpace, []PointFailure, error) {
-	return dse.SweepIsolated(ctx, k, cfgs, opts)
-}
 
 // ParetoFront returns the points of s not dominated in (runtime, power),
 // sorted by runtime: the frontier the paper's Fig 8 plots.
@@ -107,17 +77,6 @@ func QuickSweepAxes() SweepAxes { return dse.QuickAxes() }
 
 // FullSweepAxes returns the complete Fig 3 parameter table.
 func FullSweepAxes() SweepAxes { return dse.FullAxes() }
-
-// QuickSweepOptions returns the pruned sweep axes.
-//
-// Deprecated: renamed to QuickSweepAxes; SweepOptions now names the
-// worker-pool options of Sweep.
-func QuickSweepOptions() SweepAxes { return dse.QuickAxes() }
-
-// FullSweepOptions returns the complete Fig 3 parameter table.
-//
-// Deprecated: renamed to FullSweepAxes.
-func FullSweepOptions() SweepAxes { return dse.FullAxes() }
 
 // SpadConfigs enumerates lanes x partitions design points for Isolated or
 // DMA memory systems over the given base configuration.

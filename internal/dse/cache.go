@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -75,7 +74,17 @@ type StoreCache struct {
 // or an undecodable record all report ok=false; only store I/O surfaces as
 // an error.
 func (c *StoreCache) Get(cfg soc.Config) (*CachedPoint, bool, error) {
-	data, ok, err := c.Store.Get(PointKey(c.Kernel, cfg))
+	return loadPoint(c.Store, PointKey(c.Kernel, cfg))
+}
+
+// Put persists the outcome for cfg, superseding any previous record.
+func (c *StoreCache) Put(cfg soc.Config, cp *CachedPoint) error {
+	return storePoint(c.Store, PointKey(c.Kernel, cfg), cp)
+}
+
+// loadPoint reads the point record stored under key, as StoreCache.Get.
+func loadPoint(st *store.Store, key string) (*CachedPoint, bool, error) {
+	data, ok, err := st.Get(key)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -88,13 +97,13 @@ func (c *StoreCache) Get(cfg soc.Config) (*CachedPoint, bool, error) {
 	return cp, true, nil
 }
 
-// Put persists the outcome for cfg, superseding any previous record.
-func (c *StoreCache) Put(cfg soc.Config, cp *CachedPoint) error {
+// storePoint persists a point record under key, superseding any previous one.
+func storePoint(st *store.Store, key string, cp *CachedPoint) error {
 	data, err := EncodePoint(cp)
 	if err != nil {
 		return err
 	}
-	return c.Store.Put(PointKey(c.Kernel, cfg), data)
+	return st.Put(key, data)
 }
 
 // RetryPolicy bounds how a sweep retries an aborted design point before
@@ -140,62 +149,4 @@ func (p RetryPolicy) Delay(n int) time.Duration {
 		return max
 	}
 	return d
-}
-
-// runPoint runs one design point under the retry policy. It returns the
-// result, the number of attempts spent, and the final error (nil on
-// success). The context bounds backoff sleeps; a run itself is never
-// interrupted mid-simulation.
-func runPoint(ctx context.Context, r *soc.Runner, k *soc.Compiled, cfg soc.Config, p RetryPolicy) (*soc.RunResult, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		res, err := r.Run(k, cfg)
-		if err == nil {
-			return res, attempts, nil
-		}
-		kind := soc.AbortKind(err)
-		if kind == "" || !p.Retryable(kind) || attempts > p.Max {
-			return nil, attempts, err
-		}
-		if d := p.Delay(attempts); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, attempts, err
-			case <-t.C:
-			}
-		}
-		if ctx.Err() != nil {
-			return nil, attempts, err
-		}
-	}
-}
-
-// PointFailure describes one design point that could not be evaluated: the
-// config, the failure class (a soc.Abort* label, or "error" for a
-// non-abort simulation error), and how many attempts the retry policy spent.
-type PointFailure struct {
-	// Index is the point's position in the swept config slice.
-	Index    int
-	Cfg      soc.Config
-	Kind     string
-	Err      string
-	Attempts int
-}
-
-// SweepIsolated evaluates every config like Sweep, but degrades any per-point
-// failure — robustness-layer aborts and genuine simulation errors alike — to
-// a PointFailure record instead of dropping it silently or failing the whole
-// sweep. The returned space holds the surviving points (Pareto fronts and
-// EDP ranking work over it as usual); the failure list enumerates the rest.
-// Only a context cancellation fails the call.
-//
-// With SweepOptions.Cache set, previously stored outcomes (successes and
-// classified failures) are served from the store and fresh outcomes are
-// written through, so an interrupted sweep resumes from the last completed
-// point when rerun against the same store.
-func SweepIsolated(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, opts SweepOptions) (Space, []PointFailure, error) {
-	return sweepCore(ctx, k, cfgs, opts, true)
 }

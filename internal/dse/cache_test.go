@@ -126,8 +126,8 @@ func TestSweepWriteThroughAndWarmStart(t *testing.T) {
 }
 
 // TestSweepIsolatedFailuresEnumerated mixes healthy configs with
-// guaranteed-abort ones: the isolated sweep must complete over the
-// survivors, enumerate every failure with its class, and still rank a
+// guaranteed-abort ones: the evaluator must complete over the survivors,
+// report every failure with its class, and the survivors must still rank a
 // Pareto front.
 func TestSweepIsolatedFailuresEnumerated(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
@@ -143,10 +143,20 @@ func TestSweepIsolatedFailuresEnumerated(t *testing.T) {
 	stalled.WatchdogTicks = 10
 	cfgs = append(cfgs, stalled)
 
-	space, failures, err := SweepIsolated(context.Background(), k, cfgs,
-		SweepOptions{Retry: RetryPolicy{Max: 2}})
+	ev := NewEvaluator(EvaluatorOptions{Retry: RetryPolicy{Max: 2}})
+	defer ev.Close(context.Background())
+	outs, err := ev.Evaluate(context.Background(), "spmv-crs", k, cfgs, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var space Space
+	failures := map[int]Outcome{}
+	for i, o := range outs {
+		if o.Res != nil {
+			space = append(space, Point{Cfg: cfgs[i], Res: o.Res})
+		} else {
+			failures[i] = o
+		}
 	}
 	if len(space) != len(good) {
 		t.Fatalf("survivors = %d, want %d", len(space), len(good))
@@ -154,18 +164,14 @@ func TestSweepIsolatedFailuresEnumerated(t *testing.T) {
 	if len(failures) != 2 {
 		t.Fatalf("failures = %d, want 2: %+v", len(failures), failures)
 	}
-	byIndex := map[int]PointFailure{}
-	for _, f := range failures {
-		byIndex[f.Index] = f
-	}
-	pf, ok := byIndex[len(good)]
+	pf, ok := failures[len(good)]
 	if !ok || pf.Kind != soc.AbortFault {
 		t.Fatalf("poisoned point: %+v", pf)
 	}
 	if pf.Attempts != 3 {
 		t.Fatalf("fault abort attempts = %d, want 3 (1 + Max retries)", pf.Attempts)
 	}
-	sf, ok := byIndex[len(good)+1]
+	sf, ok := failures[len(good)+1]
 	if !ok || sf.Kind != soc.AbortStall {
 		t.Fatalf("stalled point: %+v", sf)
 	}
@@ -190,19 +196,27 @@ func TestSweepIsolatedCachedFailuresReplay(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].WatchdogTicks = 10
 	}
-	_, failures, err := SweepIsolated(context.Background(), k, cfgs, SweepOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	// A fresh evaluator per pass: the second must find the failures in the
+	// store, not in the first one's memory.
+	evaluate := func() []Outcome {
+		t.Helper()
+		ev := NewEvaluator(EvaluatorOptions{Store: cache.Store})
+		defer ev.Close(context.Background())
+		outs, err := ev.Evaluate(context.Background(), cache.Kernel, k, cfgs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs
 	}
-	if len(failures) != len(cfgs) {
-		t.Fatalf("failures = %d, want %d", len(failures), len(cfgs))
+	failures := evaluate()
+	for i, o := range failures {
+		if o.Res != nil {
+			t.Fatalf("point %d survived a 10-tick watchdog", i)
+		}
 	}
 	puts := cache.Store.Stats().Puts
 
-	_, replayed, err := SweepIsolated(context.Background(), k, cfgs, SweepOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := evaluate()
 	if got := cache.Store.Stats().Puts; got != puts {
 		t.Fatalf("replay re-simulated failed points: puts %d -> %d", puts, got)
 	}

@@ -12,11 +12,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gem5aladdin/internal/ddg"
-	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/soc"
 	"gem5aladdin/internal/trace"
 )
@@ -37,9 +34,9 @@ type Point struct {
 // Space is a set of evaluated designs.
 type Space []Point
 
-// SweepOptions tunes how Sweep runs its worker pool. The zero value is the
-// default sweep: GOMAXPROCS workers, no progress reporting, no persistence,
-// no retries.
+// SweepOptions tunes the private evaluator a Sweep runs on. The zero value
+// is the default sweep: GOMAXPROCS workers, no progress reporting, no
+// persistence, no retries.
 type SweepOptions struct {
 	// Workers sizes the pool; <= 0 selects GOMAXPROCS. Each worker owns a
 	// reusable soc.Runner, so the simulation state warmed up on one design
@@ -47,8 +44,8 @@ type SweepOptions struct {
 	// not just to bound concurrency (a goroutine per config would give
 	// every point a cold fabric).
 	Workers int
-	// Progress, when non-nil, is called after each completed point with
-	// (done, total); calls are serialized but may come from any worker.
+	// Progress, when non-nil, is called from the sweeping goroutine with
+	// (done, total) as each point's outcome becomes final, in config order.
 	Progress func(done, total int)
 	// Cache, when non-nil, serves previously stored point outcomes and
 	// writes fresh ones through to the result store, making the sweep
@@ -58,16 +55,13 @@ type SweepOptions struct {
 	// Retry bounds per-point retries of fault-injection aborts before the
 	// point is recorded as failed. The zero value never retries.
 	Retry RetryPolicy
-	// cached, when non-nil, counts the points served from Cache instead of
-	// simulated — Search uses it to report simulated-vs-replayed honestly
-	// without letting store contents influence control flow.
-	cached *atomic.Int64
 }
 
-// Sweep evaluates every config over the compiled kernel k, in parallel
-// across the option pool. The artifact is shared read-only by every worker
+// Sweep evaluates every config over the compiled kernel k on a private
+// Evaluator sized by opts. The artifact is shared read-only by every worker
 // — each run owns a private simulation engine, so results are deterministic
-// regardless of scheduling.
+// regardless of scheduling. The space holds one point per config, in config
+// order; duplicate configs are simulated once and share the result.
 //
 // Cancellation (or a deadline) on ctx stops the workers at the next
 // design-point boundary and returns ctx.Err(). A single design point is
@@ -86,137 +80,38 @@ type SweepOptions struct {
 // is treated as poisoned and dropped from the space rather than failing the
 // whole sweep; any other error still aborts.
 func Sweep(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, opts SweepOptions) (Space, error) {
-	space, _, err := sweepCore(ctx, k, cfgs, opts, false)
-	return space, err
+	ev, kernel := privateEvaluator(opts.Workers, len(cfgs), opts.Cache, opts.Retry)
+	defer ev.Close(context.Background())
+	outs, err := ev.Evaluate(ctx, kernel, k, cfgs, opts.Progress)
+	if err != nil {
+		return nil, err
+	}
+	space := make(Space, 0, len(cfgs))
+	for i, o := range outs {
+		switch {
+		case o.Res != nil:
+			space = append(space, Point{Cfg: cfgs[i], Res: o.Res})
+		case o.Kind == KindError:
+			return nil, fmt.Errorf("dse: config %d: %w", i, o.Err)
+		}
+	}
+	return space, nil
 }
 
-// sweepCore is the shared sweep engine. In isolated mode every per-point
-// failure becomes a PointFailure record; otherwise aborts are compacted away
-// and a genuine simulation error fails the whole sweep (the historical Sweep
-// contract).
-func sweepCore(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, opts SweepOptions, isolate bool) (Space, []PointFailure, error) {
-	workers := opts.Workers
-	progress := opts.Progress
+// privateEvaluator builds the evaluator behind one Sweep or Search call: at
+// most points workers, the cache's store, and the kernel name the cache
+// keys points by. Without a cache the name is "": the evaluator evaluates
+// one kernel only, so the name cannot alias two.
+func privateEvaluator(workers, points int, cache *StoreCache, retry RetryPolicy) (*Evaluator, string) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+	opt := EvaluatorOptions{Workers: min(workers, max(points, 1)), Retry: retry}
+	kernel := ""
+	if cache != nil {
+		opt.Store, kernel = cache.Store, cache.Kernel
 	}
-	parent := obs.SpanFromContext(ctx)
-	out := make(Space, len(cfgs))
-	fails := make([]*PointFailure, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var next, done atomic.Int64
-	var mu sync.Mutex // serializes progress callbacks
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(track int) {
-			defer wg.Done()
-			var r soc.Runner
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				ps := parent.ChildOn("point", track)
-				ps.SetAttr("index", i)
-				ps.SetAttr("lanes", cfgs[i].Lanes)
-
-				// Serve the point from the durable store when possible —
-				// stored failures replay as cheaply as stored successes.
-				var res *soc.RunResult
-				var err error
-				var cachedKind string
-				attempts := 0
-				cached := false
-				if opts.Cache != nil {
-					if cp, ok, gerr := opts.Cache.Get(cfgs[i]); gerr == nil && ok {
-						cached = true
-						ps.SetAttr("cached", true)
-						if opts.cached != nil {
-							opts.cached.Add(1)
-						}
-						if cp.Aborted {
-							// Replay the stored failure; the typed error
-							// chain is gone, so the classified kind rides
-							// alongside.
-							err = fmt.Errorf("%s: %w", cp.Err, soc.ErrAborted)
-							cachedKind = cp.Kind
-							attempts = cp.Attempts
-						} else {
-							res = cp.Result
-						}
-					}
-				}
-				if !cached {
-					res, attempts, err = runPoint(ctx, &r, k, cfgs[i], opts.Retry)
-				}
-
-				switch {
-				case err == nil:
-					out[i] = Point{Cfg: cfgs[i], Res: res}
-					ps.SetAttr("cycles", res.Cycles)
-					if !cached && opts.Cache != nil {
-						opts.Cache.Put(cfgs[i], &CachedPoint{Result: res})
-					}
-				case errors.Is(err, soc.ErrAborted):
-					kind := cachedKind
-					if kind == "" {
-						kind = soc.AbortKind(err)
-					}
-					ps.SetAttr("aborted", true)
-					ps.SetAttr("kind", kind)
-					fails[i] = &PointFailure{Index: i, Cfg: cfgs[i], Kind: kind,
-						Err: err.Error(), Attempts: attempts}
-					if !cached && opts.Cache != nil {
-						opts.Cache.Put(cfgs[i], &CachedPoint{Aborted: true, Kind: kind,
-							Err: err.Error(), Attempts: attempts})
-					}
-				case isolate:
-					// A genuine simulation error isolates to this point but
-					// is never persisted: it may be environmental, and a
-					// future run deserves a fresh attempt.
-					ps.SetAttr("error", err.Error())
-					fails[i] = &PointFailure{Index: i, Cfg: cfgs[i], Kind: "error",
-						Err: err.Error(), Attempts: attempts}
-				default:
-					errs[i] = fmt.Errorf("dse: config %d: %w", i, err)
-					ps.SetAttr("error", err.Error())
-				}
-				ps.EndSpan()
-				if progress != nil {
-					mu.Lock()
-					progress(int(done.Add(1)), len(cfgs))
-					mu.Unlock()
-				}
-			}
-		}(w + 1)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var failures []PointFailure
-	for _, f := range fails {
-		if f != nil {
-			failures = append(failures, *f)
-		}
-	}
-	// Compact away failed points (nil Res).
-	kept := out[:0]
-	for _, p := range out {
-		if p.Res != nil {
-			kept = append(kept, p)
-		}
-	}
-	return kept, failures, nil
+	return NewEvaluator(opt), kernel
 }
 
 // ParetoFront returns the points not dominated in (runtime, power): a
@@ -452,13 +347,22 @@ func QuickAxes() SweepAxes {
 func ScenarioConfigs(sc Scenario, opt SweepAxes) []soc.Config {
 	base := soc.DefaultConfig()
 	base.BusWidthBits = sc.BusBits
-	switch sc.Mem {
-	case soc.Isolated, soc.DMA:
-		return WithFabrics(SpadConfigs(base, sc.Mem, opt.Lanes, opt.Partitions), opt.Fabrics)
-	default:
-		return WithFabrics(CacheConfigs(base, opt.Lanes, opt.CacheKB, opt.CacheLines,
-			opt.CachePorts, opt.CacheAssoc), opt.Fabrics)
+	return GridConfigs(base, sc.Mem, opt)
+}
+
+// GridConfigs expands one memory system's grid over base: lanes x
+// partitions for the scratchpad systems, or the cache cross product (with
+// impossible geometries pruned, as in CacheConfigs) for caches, then
+// crossed with the fabric axis.
+func GridConfigs(base soc.Config, mem soc.MemKind, axes SweepAxes) []soc.Config {
+	var cfgs []soc.Config
+	if mem == soc.Cache {
+		cfgs = CacheConfigs(base, axes.Lanes, axes.CacheKB, axes.CacheLines,
+			axes.CachePorts, axes.CacheAssoc)
+	} else {
+		cfgs = SpadConfigs(base, mem, axes.Lanes, axes.Partitions)
 	}
+	return WithFabrics(cfgs, axes.Fabrics)
 }
 
 // WithFabrics crosses a config list with interconnect topologies: each

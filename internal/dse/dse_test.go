@@ -211,6 +211,35 @@ func TestSweepCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestSweepDuplicateConfigs pins the one-point-per-config contract when
+// configs repeat: the space keeps every slot in config order, the repeats
+// share one simulation's result, and progress still counts every config.
+func TestSweepDuplicateConfigs(t *testing.T) {
+	k := kernelOf(t, "spmv-crs")
+	grid := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	cfgs := []soc.Config{grid[0], grid[1], grid[0], grid[2], grid[1], grid[0], grid[3]}
+	var last [2]int
+	space, err := Sweep(context.Background(), k, cfgs, SweepOptions{Workers: 2,
+		Progress: func(done, total int) { last = [2]int{done, total} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(space) != len(cfgs) {
+		t.Fatalf("space has %d points for %d configs", len(space), len(cfgs))
+	}
+	for i, p := range space {
+		if p.Cfg != cfgs[i] {
+			t.Fatalf("point %d out of config order", i)
+		}
+	}
+	if space[0].Res != space[2].Res || space[0].Res != space[5].Res || space[1].Res != space[4].Res {
+		t.Fatal("duplicate configs were simulated separately")
+	}
+	if last != [2]int{len(cfgs), len(cfgs)} {
+		t.Fatalf("progress ended at %v, want (%d, %d)", last, len(cfgs), len(cfgs))
+	}
+}
+
 func TestCacheConfigsSkipInvalid(t *testing.T) {
 	cfgs := CacheConfigs(soc.DefaultConfig(), []int{1}, []int{2}, []int{64}, []int{1}, []int{8})
 	// 2KB / 64B lines / 8-way = 4 sets: power of two, fine. But 2KB/64B

@@ -17,8 +17,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/soc"
@@ -59,13 +59,25 @@ var axisSetters = map[string]func(*soc.Config, int){
 
 // FabricAxis is the fabric-topology search axis over every backend
 // (values are soc.FabricKind ordinals: bus, crossbar, mesh).
-func FabricAxis() SearchAxis {
-	kinds := soc.FabricKinds()
+func FabricAxis() SearchAxis { return WithFabricAxis(nil, soc.FabricKinds())[0] }
+
+// WithFabricAxis returns axes with a fabric axis over kinds appended,
+// unless kinds is empty or axes already name a fabric axis. axes itself is
+// never modified.
+func WithFabricAxis(axes []SearchAxis, kinds []soc.FabricKind) []SearchAxis {
+	if len(kinds) == 0 {
+		return axes
+	}
+	for _, a := range axes {
+		if a.Name == "fabric" {
+			return axes
+		}
+	}
 	vals := make([]int, len(kinds))
 	for i, k := range kinds {
 		vals[i] = int(k)
 	}
-	return SearchAxis{Name: "fabric", Values: vals}
+	return append(axes[:len(axes):len(axes)], SearchAxis{Name: "fabric", Values: vals})
 }
 
 // SearchSpace describes a design space for adaptive search: a base config
@@ -79,18 +91,31 @@ type SearchSpace struct {
 }
 
 // Validate checks the space description: every axis must have a registered
-// name and at least one value.
+// name, appear once, and have at least one value, and the cross product
+// must fit in a uint64 — the point codec ranks points as uint64s, and a
+// product that wraps would size the space wrongly (to zero, even).
 func (sp SearchSpace) Validate() error {
 	if len(sp.Axes) == 0 {
 		return errors.New("dse: search space has no axes")
 	}
+	seen := make(map[string]bool, len(sp.Axes))
+	size := uint64(1)
 	for _, a := range sp.Axes {
 		if _, ok := axisSetters[a.Name]; !ok {
 			return fmt.Errorf("dse: unknown search axis %q", a.Name)
 		}
+		if seen[a.Name] {
+			return fmt.Errorf("dse: search axis %q appears more than once", a.Name)
+		}
+		seen[a.Name] = true
 		if len(a.Values) == 0 {
 			return fmt.Errorf("dse: search axis %q has no values", a.Name)
 		}
+		hi, lo := bits.Mul64(size, uint64(len(a.Values)))
+		if hi != 0 {
+			return errors.New("dse: search space has more than 2^64-1 points")
+		}
+		size = lo
 	}
 	return nil
 }
@@ -219,6 +244,9 @@ type SearchOptions struct {
 	// Cache serves previously stored point outcomes and writes fresh ones
 	// through, exactly as in SweepOptions; with a populated store a
 	// resumed or repeated search replays points instead of re-simulating.
+	// (Evaluator.Search evaluates on its evaluator's pool, policy and
+	// store, so there Workers and Retry are unused and Cache only holds
+	// the checkpoint.)
 	Cache *StoreCache
 	// CheckpointKey, when non-empty (requires Cache), persists the
 	// frontier state under this key in Cache.Store after every round. A
@@ -360,14 +388,22 @@ type candidate struct {
 // per-point spans nested under it), so a traced search renders its rounds as
 // one Perfetto group each.
 func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts SearchOptions) (*SearchResult, error) {
+	opts.setDefaults()
+	ev, kernel := privateEvaluator(opts.Workers, opts.Budget, opts.Cache, opts.Retry)
+	defer ev.Close(context.Background())
+	return ev.Search(ctx, kernel, k, space, opts)
+}
+
+// Search runs the adaptive search of the package-level Search on the
+// evaluator's pool, policy and store, so a search shares its points —
+// singleflight, memory cache and all — with every other caller of ev.
+// kernel names k in point keys and the checkpoint fingerprint; opts.Cache,
+// when set, only holds the checkpoint.
+func (ev *Evaluator) Search(ctx context.Context, kernel string, k *soc.Compiled, space SearchSpace, opts SearchOptions) (*SearchResult, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
 	opts.setDefaults()
-	kernel := ""
-	if opts.Cache != nil {
-		kernel = opts.Cache.Kernel
-	}
 	fp := space.Fingerprint(kernel, opts.Seed)
 
 	var (
@@ -440,37 +476,23 @@ func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts Search
 		for i, c := range fresh {
 			cfgs[i] = c.cfg
 		}
-		var cachedHits atomic.Int64
-		spc, fails, err := sweepCore(obs.WithSpan(ctx, rs), k, cfgs, SweepOptions{
-			Workers: opts.Workers,
-			Cache:   opts.Cache,
-			Retry:   opts.Retry,
-			cached:  &cachedHits,
-		}, true)
+		outs, err := ev.Evaluate(obs.WithSpan(ctx, rs), kernel, k, cfgs, nil)
 		if err != nil {
 			rs.EndSpan()
 			return nil, err
 		}
-		simulated += len(fresh) - int(cachedHits.Load())
-
-		// Merge in candidate order: surviving points appear in request
-		// order, failures carry their index.
-		failed := map[int]bool{}
-		for _, f := range fails {
-			failed[f.Index] = true
-		}
-		si := 0
-		for i := range fresh {
+		for i, o := range outs {
 			c := fresh[i]
-			if failed[i] {
+			if o.Simulated {
+				simulated++
+			}
+			if o.Res == nil {
 				c.Failed = true
 			} else {
-				p := spc[si]
-				si++
-				c.res = p.Res
-				c.Runtime = int64(p.Res.Runtime)
-				c.PowerW = p.Res.AvgPowerW
-				c.EDPJs = p.Res.EDPJs
+				c.res = o.Res
+				c.Runtime = int64(o.Res.Runtime)
+				c.PowerW = o.Res.AvgPowerW
+				c.EDPJs = o.Res.EDPJs
 			}
 			seen[c.key] = len(archive)
 			archive = append(archive, c)
@@ -513,7 +535,7 @@ func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts Search
 		return nil, fmt.Errorf("dse: search evaluated %d points, none survived: %w",
 			len(archive), ErrEmptySpace)
 	}
-	frontSpace, err := materialize(ctx, k, archive, frontIdx, opts.Cache)
+	frontSpace, err := ev.materialize(ctx, kernel, k, archive, frontIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -671,34 +693,34 @@ func archivePoints(archive []candidate) []SearchPoint {
 }
 
 // materialize rebuilds full simulation results for the front: points
-// evaluated by this process carry them already, resumed points come back
-// from the store, and anything missing (a checkpoint ahead of a torn store)
-// re-simulates — deterministically the same result either way.
-func materialize(ctx context.Context, k *soc.Compiled, archive []candidate, front []int, cache *StoreCache) (Space, error) {
-	out := make(Space, 0, len(front))
-	var r soc.Runner
-	for _, i := range front {
+// evaluated by this process carry them already, and the rest (restored
+// from a checkpoint) come back from the evaluator — its cache or store, or
+// a re-simulation when the checkpoint is ahead of a torn store, which
+// yields the same result deterministically.
+func (ev *Evaluator) materialize(ctx context.Context, kernel string, k *soc.Compiled, archive []candidate, front []int) (Space, error) {
+	out := make(Space, len(front))
+	var missing []soc.Config
+	var at []int
+	for j, i := range front {
 		c := &archive[i]
-		res := c.res
-		if res == nil && cache != nil {
-			if cp, ok, err := cache.Get(c.cfg); err == nil && ok && !cp.Aborted {
-				res = cp.Result
-			}
+		out[j] = Point{Cfg: c.cfg, Res: c.res}
+		if c.res == nil {
+			missing = append(missing, c.cfg)
+			at = append(at, j)
 		}
-		if res == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			var err error
-			res, err = r.Run(k, c.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("dse: re-materializing front point: %w", err)
-			}
-			if cache != nil {
-				cache.Put(c.cfg, &CachedPoint{Result: res})
-			}
+	}
+	if len(missing) == 0 {
+		return out, nil
+	}
+	outs, err := ev.Evaluate(ctx, kernel, k, missing, nil)
+	if err != nil {
+		return nil, err
+	}
+	for m, o := range outs {
+		if o.Res == nil {
+			return nil, fmt.Errorf("dse: re-materializing front point: %w", o.Err)
 		}
-		out = append(out, Point{Cfg: c.cfg, Res: res})
+		out[at[m]].Res = o.Res
 	}
 	return out, nil
 }

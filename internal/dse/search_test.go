@@ -83,6 +83,48 @@ func TestSearchSpaceCodec(t *testing.T) {
 	}
 }
 
+// TestSearchSpaceValidate is the table of malformed spaces Validate must
+// reject before anything sizes, ranks or samples them. Repeated axis names
+// and cross products beyond a uint64 used to pass, and a product that
+// wrapped to zero made sampling divide by zero.
+func TestSearchSpaceValidate(t *testing.T) {
+	axis := func(name string, n int) SearchAxis {
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = i + 1
+		}
+		return SearchAxis{Name: name, Values: vals}
+	}
+	repeat := func(a SearchAxis, n int) []SearchAxis {
+		out := make([]SearchAxis, n)
+		for i := range out {
+			out[i] = a
+		}
+		return out
+	}
+	wide := []SearchAxis{axis("lanes", 1<<16), axis("partitions", 1<<16),
+		axis("spad_ports", 1<<16), axis("mshrs", 1<<16)}
+	for _, tc := range []struct {
+		name string
+		axes []SearchAxis
+		ok   bool
+	}{
+		{"valid", searchTestSpace().Axes, true},
+		{"no axes", nil, false},
+		{"unknown axis", []SearchAxis{axis("warp_drive", 2)}, false},
+		{"empty axis", []SearchAxis{axis("lanes", 0)}, false},
+		{"repeated axis", []SearchAxis{axis("lanes", 2), axis("partitions", 2), axis("lanes", 3)}, false},
+		{"64 repeated binary axes (product wraps to 0)", repeat(axis("lanes", 2), 64), false},
+		{"2^64 points over distinct axes", wide, false},
+		{"2^48 points fit", wide[:3], true},
+	} {
+		err := SearchSpace{Base: soc.DefaultConfig(), Axes: tc.axes}.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestSearchDeterministic pins the determinism contract: the same seed over
 // the same space yields a bit-identical evaluation sequence and final front,
 // regardless of worker count.

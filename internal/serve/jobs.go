@@ -42,38 +42,40 @@ type jobManifest struct {
 	Request SweepRequest `json:"request"`
 }
 
-// job is one long-running sweep: submitted via POST /jobs, simulated through
-// the same entry/singleflight layer as /sweep, pollable and streamable while
-// it runs.
+// job is one long-running request — a grid or an adaptive search —
+// submitted via POST /jobs and evaluated on the server's shared evaluator.
+// Both kinds share one lifecycle: the job goroutine publishes each NDJSON
+// stream line once it is final, and GET /jobs/{id}/results tails the lines.
 type job struct {
 	id      string
 	req     SweepRequest
-	cfgs    []soc.Config
+	cfgs    []soc.Config // grid jobs only
+	points  int          // grid size, or the clamped search budget
 	created time.Time
 	resumed bool
 
 	cancel context.CancelFunc
-	// acquired closes once entries is populated; done closes when the job
-	// goroutine exits (terminal state or interruption).
-	acquired chan struct{}
-	done     chan struct{}
+	done   chan struct{} // closed when the job goroutine exits
 
-	// Guarded by Server.jmu.
+	// Guarded by Server.jmu. lines are the published stream; update is
+	// closed and replaced on every publish so tailing streamers wake up.
 	state           string
 	errMsg          string
-	entries         []*entry
 	clientCancelled bool
+	lines           [][]byte
+	update          chan struct{}
 
-	// Search-job state (req.Search != nil), guarded by Server.jmu. Stream
-	// lines accumulate as rounds complete; searchUpdate is rotated (closed
-	// and replaced) on every append so tailing streamers wake up.
-	searchBudget    int
-	searchRound     int
-	searchEvaluated int
-	searchSimulated int
-	searchFrontSize int
-	searchLines     [][]byte
-	searchUpdate    chan struct{}
+	// Progress, guarded by Server.jmu: completed and failed count a grid's
+	// published point lines, or a search's evaluated candidates (which
+	// never fail it); round, frontSize and simulated are search-only.
+	completed, failed           int
+	round, frontSize, simulated int
+}
+
+// newJob builds a running job's in-memory record.
+func newJob(id string, req SweepRequest, cfgs []soc.Config, points int, created time.Time) *job {
+	return &job{id: id, req: req, cfgs: cfgs, points: points, created: created,
+		state: jobRunning, done: make(chan struct{}), update: make(chan struct{})}
 }
 
 // newJobID returns a 16-hex-char random job identifier.
@@ -104,107 +106,129 @@ func (s *Server) putManifest(j *job, state, errMsg string) {
 	}
 }
 
-// startJob registers and launches a validated job. Callers have already
-// expanded cfgs. Holds no locks. The job's context is process-scoped, not
-// request-scoped: the submitting HTTP request returns immediately and the
-// job keeps running until terminal, cancelled, or interrupted by Shutdown.
+// startJob registers and launches a validated job. Holds no locks. The
+// job's context is process-scoped, not request-scoped: the submitting HTTP
+// request returns immediately and the job keeps running until terminal,
+// cancelled, or interrupted by Shutdown.
 func (s *Server) startJob(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.jmu.Lock()
 	j.cancel = cancel
-	if j.req.Search != nil {
-		j.searchBudget = s.searchBudget(j.req.Search)
-		j.searchUpdate = make(chan struct{})
-	}
 	s.jobs[j.id] = j
 	s.jmu.Unlock()
 	s.activeJobs.Add(1)
 	s.wgJobs.Add(1)
-	if j.req.Search != nil {
-		go s.runSearchJob(ctx, j)
-	} else {
-		go s.runJob(ctx, j)
-	}
+	go s.runJob(ctx, j)
 }
 
-// runJob drives one job to a terminal state: resolve the kernel, acquire
-// every grid point (the store serves already-finished ones instantly), wait
-// for the stragglers, and checkpoint the outcome. An interruption (server
-// shutdown) releases the job's claims and leaves the manifest "running" so
-// the next boot resumes it; a client cancellation is terminal.
+// runJob drives one job of either kind to a terminal state and checkpoints
+// it. An interruption (server shutdown) leaves the manifest "running" —
+// and a search's frontier checkpoint in the store — so the next boot
+// resumes the job; a client cancellation is terminal.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	defer s.wgJobs.Done()
 	defer s.activeJobs.Add(-1)
 	defer close(j.done)
 
-	// A cancellation may have raced submission.
-	if ctx.Err() != nil {
-		s.finishJob(j, jobCancelled, "")
-		return
-	}
-
-	k, err := s.kernelFor(j.req.Kernel)
-	if err != nil {
-		s.finishJob(j, jobFailed, err.Error())
-		return
-	}
-
-	entries := make([]*entry, len(j.cfgs))
-	byKey := make(map[string]*entry, len(j.cfgs))
-	var joined []*entry
-	for i, cfg := range j.cfgs {
-		key := dse.PointKey(j.req.Kernel, cfg)
-		if e, ok := byKey[key]; ok {
-			entries[i] = e
-			continue
-		}
-		e, join, _ := s.acquire(key, k, cfg, nil, 0)
-		entries[i] = e
-		byKey[key] = e
-		if join {
-			joined = append(joined, e)
+	err := ctx.Err() // a cancellation may have raced submission
+	if err == nil {
+		var k *soc.Compiled
+		if k, err = s.kernelFor(j.req.Kernel); err == nil {
+			if j.req.Search != nil {
+				err = s.runSearch(ctx, j, k)
+			} else {
+				err = s.runGrid(ctx, j, k)
+			}
 		}
 	}
 	s.jmu.Lock()
-	j.entries = entries
+	cancelled := j.clientCancelled
 	s.jmu.Unlock()
-	close(j.acquired)
-
-	interrupted := false
-	for _, e := range byKey {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			interrupted = true
-		}
-		if interrupted {
-			break
-		}
-	}
-	// Dropping the claims lets workers skip any still-queued points.
-	s.release(joined)
-
-	if interrupted {
-		s.jmu.Lock()
-		cancelled := j.clientCancelled
-		s.jmu.Unlock()
-		if cancelled {
-			s.finishJob(j, jobCancelled, "")
-		} else {
-			// Shutdown interruption: the manifest stays "running" on disk,
-			// which is the resume signal for the next boot. Only the
-			// in-memory state flips so pollers on this process see it.
-			s.jmu.Lock()
-			j.state = jobRunning
-			s.jmu.Unlock()
-			if lg := s.opt.Logger; lg != nil {
-				lg.Info("job interrupted for shutdown; will resume on restart",
-					"job", j.id)
-			}
+	switch {
+	case err == nil:
+		s.finishJob(j, jobCompleted, "")
+	case ctx.Err() == nil:
+		s.finishJob(j, jobFailed, err.Error())
+	case cancelled:
+		s.finishJob(j, jobCancelled, "")
+	default:
+		if lg := s.opt.Logger; lg != nil {
+			lg.Info("job interrupted for shutdown; will resume on restart", "job", j.id)
 		}
 		return
 	}
-	s.finishJob(j, jobCompleted, "")
+	// Terminal: the frontier checkpoint (search jobs) has served its
+	// purpose; the point records stay (they are content-addressed and
+	// shared).
+	if s.opt.Store != nil {
+		_ = s.opt.Store.Delete(searchKeyPrefix + j.id)
+	}
+}
+
+// runGrid evaluates a grid job and publishes one line per point in request
+// order, then the summary (Pareto front and EDP optimum over the surviving
+// points, failures enumerated). Points the store already holds — a resumed
+// job's finished work — come back without simulating.
+func (s *Server) runGrid(ctx context.Context, j *job, k *soc.Compiled) error {
+	c := s.eval.Submit(ctx, j.req.Kernel, k, j.cfgs)
+	// Dropping the claim lets workers skip any still-queued points.
+	defer c.Release()
+	space := make(dse.Space, 0, len(j.cfgs))
+	var failures []jobResultLine
+	for i, cfg := range j.cfgs {
+		select {
+		case <-c.Done(i):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		o := c.Outcome(i)
+		line := jobResultLine{Index: i, Status: "ok"}
+		if o.Res != nil {
+			rec := report.FromResult(j.req.Kernel, o.Res)
+			line.Record = &rec
+			space = append(space, dse.Point{Cfg: cfg, Res: o.Res})
+		} else {
+			line.Status, line.Kind, line.Error, line.Attempts = "failed", o.Kind, o.Err.Error(), o.Attempts
+			failures = append(failures, line)
+		}
+		s.publish(j, &line, func() {
+			if o.Res != nil {
+				j.completed++
+			} else {
+				j.failed++
+			}
+		})
+	}
+	sum := jobSummaryLine{
+		Status:    "summary",
+		Requested: len(j.cfgs),
+		Evaluated: len(space),
+		Failed:    len(failures),
+		Failures:  failures,
+		Pareto:    spaceRecords(j.req.Kernel, space.ParetoFront()),
+	}
+	if best, ok := space.EDPOptimal(); ok {
+		rec := report.FromResult(j.req.Kernel, best.Res)
+		sum.EDPOptimal = &rec
+	}
+	s.publish(j, &sum, nil)
+	return nil
+}
+
+// publish appends one final NDJSON line to the job's stream and wakes the
+// streamers tailing it. progress, when non-nil, updates the job's progress
+// counters under the same lock, so a poll never sees a count ahead of the
+// stream.
+func (s *Server) publish(j *job, line any, progress func()) {
+	data, _ := json.Marshal(line) // plain structs of finite numbers: cannot fail
+	s.jmu.Lock()
+	if progress != nil {
+		progress()
+	}
+	j.lines = append(j.lines, append(data, '\n'))
+	close(j.update)
+	j.update = make(chan struct{})
+	s.jmu.Unlock()
 }
 
 // finishJob records a terminal state in memory, on disk, and in the stats.
@@ -224,14 +248,29 @@ func (s *Server) finishJob(j *job, state, errMsg string) {
 	}
 	if lg := s.opt.Logger; lg != nil {
 		lg.Info("job finished", "job", j.id, "state", state,
-			"kernel", j.req.Kernel, "points", len(j.cfgs), "err", errMsg)
+			"kernel", j.req.Kernel, "points", j.points, "err", errMsg)
 	}
+}
+
+// expandJob validates a job request and sizes it: a grid's design points,
+// or a search's clamped budget (searches carry no expanded grid; their
+// space is re-derived from the request when they run).
+func (s *Server) expandJob(req SweepRequest) ([]soc.Config, int, error) {
+	if req.Search != nil {
+		if _, err := s.searchSpace(req); err != nil {
+			return nil, 0, err
+		}
+		return nil, s.searchBudget(req.Search), nil
+	}
+	cfgs, err := req.Configs()
+	return cfgs, len(cfgs), err
 }
 
 // resumeJobs replays the store's manifests at boot: every job left
 // "running" by a previous process is resubmitted under its original ID. The
-// already-simulated points come straight back from the store, so the resumed
-// job only simulates what the interrupted run never finished.
+// already-simulated points come straight back from the store (and a
+// search's frontier checkpoint under search/<id> restores its rounds), so
+// the resumed job only simulates what the interrupted run never finished.
 func (s *Server) resumeJobs() {
 	if s.opt.Store == nil {
 		return
@@ -245,36 +284,26 @@ func (s *Server) resumeJobs() {
 		if err := json.Unmarshal(data, &m); err != nil || m.State != jobRunning {
 			continue
 		}
-		var cfgs []soc.Config
-		var expandErr error
-		if m.Request.Search != nil {
-			// Search jobs re-derive everything from the manifest request;
-			// their frontier checkpoint under search/<id> does the rest.
-			_, expandErr = s.searchSpace(m.Request)
-		} else {
-			cfgs, expandErr = m.Request.Configs()
-		}
-		if expandErr != nil {
-			// The request no longer expands (schema drift): fail it durably
-			// rather than resurrect it forever.
-			j := &job{id: m.ID, req: m.Request, created: m.Created,
-				state: jobFailed, errMsg: expandErr.Error(),
-				acquired: make(chan struct{}), done: make(chan struct{})}
+		cfgs, points, err := s.expandJob(m.Request)
+		j := newJob(m.ID, m.Request, cfgs, points, m.Created)
+		if err != nil {
+			// The request no longer expands (schema drift, or a space a
+			// newer validator rejects): fail it durably rather than
+			// resurrect it forever.
+			j.state, j.errMsg = jobFailed, err.Error()
 			close(j.done)
 			s.jmu.Lock()
 			s.jobs[j.id] = j
 			s.jmu.Unlock()
-			s.putManifest(j, jobFailed, expandErr.Error())
+			s.putManifest(j, jobFailed, err.Error())
 			s.jobsFailed.Add(1)
 			continue
 		}
-		j := &job{id: m.ID, req: m.Request, cfgs: cfgs, created: m.Created,
-			resumed: true, state: jobRunning,
-			acquired: make(chan struct{}), done: make(chan struct{})}
+		j.resumed = true
 		s.jobsResumed.Add(1)
 		if lg := s.opt.Logger; lg != nil {
 			lg.Info("resuming interrupted job", "job", j.id,
-				"kernel", j.req.Kernel, "points", len(cfgs))
+				"kernel", j.req.Kernel, "points", points)
 		}
 		s.startJob(j)
 	}
@@ -316,43 +345,20 @@ type jobStatus struct {
 	Simulated int    `json:"simulated,omitempty"`
 }
 
-// status snapshots the job's per-point progress without blocking on any
+// jobStatusOf snapshots the job's progress without blocking on any
 // simulation.
 func (s *Server) jobStatusOf(j *job) jobStatus {
 	s.jmu.Lock()
+	defer s.jmu.Unlock()
 	st := jobStatus{JobID: j.id, Kernel: j.req.Kernel, State: j.state,
-		Error: j.errMsg, Resumed: j.resumed, Points: len(j.cfgs)}
+		Error: j.errMsg, Resumed: j.resumed, Points: j.points,
+		Completed: j.completed, Failed: j.failed,
+		Pending: max(j.points-j.completed-j.failed, 0)}
 	if j.req.Search != nil {
 		st.Kind = "search"
-		st.Points = j.searchBudget
-		st.Completed = j.searchEvaluated
-		st.Pending = j.searchBudget - j.searchEvaluated
-		if st.Pending < 0 {
-			st.Pending = 0
-		}
-		st.Round = j.searchRound
-		st.FrontSize = j.searchFrontSize
-		st.Simulated = j.searchSimulated
-		s.jmu.Unlock()
-		return st
-	}
-	entries := j.entries
-	s.jmu.Unlock()
-	if entries == nil {
-		st.Pending = st.Points
-		return st
-	}
-	for _, e := range entries {
-		select {
-		case <-e.done:
-			if e.res != nil {
-				st.Completed++
-			} else {
-				st.Failed++
-			}
-		default:
-			st.Pending++
-		}
+		st.Round = j.round
+		st.FrontSize = j.frontSize
+		st.Simulated = j.simulated
 	}
 	return st
 }
@@ -378,24 +384,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad job request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	var cfgs []soc.Config
-	points := 0
-	if req.Search != nil {
-		// Search jobs carry no expanded grid; validate the space now so a
-		// bad request fails at submission, not inside the job goroutine.
-		if _, err := s.searchSpace(req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		points = s.searchBudget(req.Search)
-	} else {
-		var err error
-		cfgs, err = req.Configs()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		points = len(cfgs)
+	// Validate now, so a bad request fails at submission rather than
+	// inside the job goroutine.
+	cfgs, points, err := s.expandJob(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 
 	s.jmu.Lock()
@@ -417,8 +411,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	j := &job{id: id, req: req, cfgs: cfgs, created: time.Now(),
-		state: jobRunning, acquired: make(chan struct{}), done: make(chan struct{})}
+	j := newJob(id, req, cfgs, points, time.Now())
 	s.jobsSubmitted.Add(1)
 	s.putManifest(j, jobRunning, "")
 	s.startJob(j)
@@ -479,11 +472,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(s.jobStatusOf(j))
 	case sub == "results" && r.Method == http.MethodGet:
-		if j.req.Search != nil {
-			s.streamSearchResults(w, r, j)
-		} else {
-			s.streamJobResults(w, r, j)
-		}
+		s.streamResults(w, r, j)
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
 		http.Error(w, "unsupported job operation", http.StatusMethodNotAllowed)
@@ -515,96 +504,47 @@ type jobSummaryLine struct {
 	Pareto     []report.Record `json:"pareto"`
 }
 
-// streamJobResults writes the job's outcome as NDJSON in request order,
-// incrementally: each point's line is flushed as soon as that point
-// finishes, so a client can tail a running job. The final line is the
-// summary (Pareto front and EDP optimum over the surviving points, failures
-// enumerated).
-func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job) {
-	select {
-	case <-j.acquired:
-	case <-j.done:
-		// Terminal before acquiring any point (failed submission/resume).
-		st := s.jobStatusOf(j)
-		if st.State == jobFailed || st.State == jobCancelled {
-			http.Error(w, fmt.Sprintf("job %s: %s", st.State, st.Error),
-				http.StatusConflict)
-			return
-		}
-	case <-r.Context().Done():
-		return
-	}
+// streamResults tails a job's NDJSON stream: every line published so far,
+// then each new one as the job publishes it, flushed line by line so a
+// client can follow a running job. The stream ends with the summary line —
+// or at the last published line if the job is interrupted, cancelled or
+// fails — or when the client goes away.
+func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job) {
+	// A job that ended before publishing anything is a conflict, not an
+	// empty stream.
 	s.jmu.Lock()
-	entries := j.entries
+	state, errMsg, published := j.state, j.errMsg, len(j.lines)
 	s.jmu.Unlock()
-	if entries == nil {
-		http.Error(w, "job produced no points", http.StatusConflict)
+	if (state == jobFailed || state == jobCancelled) && published == 0 {
+		http.Error(w, fmt.Sprintf("job %s: %s", state, errMsg), http.StatusConflict)
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	space := make(dse.Space, 0, len(entries))
-	var failures []jobResultLine
-	for i, e := range entries {
-		select {
-		case <-e.done:
-		case <-j.done:
-			// Interrupted or cancelled mid-stream: stop at the boundary.
-			select {
-			case <-e.done:
-			default:
+	next := 0
+	for finished := false; ; {
+		s.jmu.Lock()
+		lines, update := j.lines, j.update
+		s.jmu.Unlock()
+		for ; next < len(lines); next++ {
+			if _, err := w.Write(lines[next]); err != nil {
 				return
 			}
-		case <-r.Context().Done():
-			return
-		}
-		line := jobResultLine{Index: i}
-		switch {
-		case e.res != nil:
-			line.Status = "ok"
-			rec := report.FromResult(j.req.Kernel, e.res)
-			line.Record = &rec
-			space = append(space, dse.Point{Cfg: j.cfgs[i], Res: e.res})
-		case e.aborted:
-			line.Status = "failed"
-			line.Kind = e.failKind
-			line.Error = e.failErr
-			line.Attempts = e.attempts
-			failures = append(failures, line)
-		default:
-			line.Status = "failed"
-			line.Kind = "error"
-			if e.err != nil {
-				line.Error = e.err.Error()
-			}
-			failures = append(failures, line)
-		}
-		if err := enc.Encode(&line); err != nil {
-			return
 		}
 		if fl != nil {
 			fl.Flush()
 		}
-	}
-
-	sum := jobSummaryLine{
-		Status:    "summary",
-		Requested: len(entries),
-		Evaluated: len(space),
-		Failed:    len(failures),
-		Failures:  failures,
-		Pareto:    spaceRecords(j.req.Kernel, space.ParetoFront()),
-	}
-	if best, ok := space.EDPOptimal(); ok {
-		rec := report.FromResult(j.req.Kernel, best.Res)
-		sum.EDPOptimal = &rec
-	}
-	_ = enc.Encode(&sum)
-	if fl != nil {
-		fl.Flush()
+		if finished {
+			return
+		}
+		select {
+		case <-j.done:
+			finished = true // drain lines published before done closed
+		case <-update:
+		case <-r.Context().Done():
+			return
+		}
 	}
 }

@@ -1,19 +1,19 @@
 package serve
 
 // Adaptive-search jobs: the "search" job kind behind POST /jobs. A search
-// request runs dse.Search instead of an exhaustive grid, streams its
-// front-so-far as NDJSON round lines, and checkpoints frontier state under
+// request runs the adaptive search instead of an exhaustive grid, streams
+// its front-so-far as NDJSON round lines, and checkpoints frontier state under
 // search/<job id> in the result store so a killed server resumes the search
 // under its original job ID to the identical front.
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
+	"fmt"
 
 	"gem5aladdin/internal/dse"
 	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/report"
+	"gem5aladdin/internal/soc"
 )
 
 // searchKeyPrefix namespaces search frontier checkpoints inside the result
@@ -47,9 +47,9 @@ type SearchSpec struct {
 // different -point-timeout starts the search fresh rather than resuming
 // against differently-budgeted results.
 func (s *Server) searchSpace(req SweepRequest) (dse.SearchSpace, error) {
-	kind, err := req.memKind()
+	kind, err := soc.ParseMemKind(req.Mem)
 	if err != nil {
-		return dse.SearchSpace{}, err
+		return dse.SearchSpace{}, fmt.Errorf("serve: %w", err)
 	}
 	base, err := req.baseConfig()
 	if err != nil {
@@ -65,30 +65,15 @@ func (s *Server) searchSpace(req SweepRequest) (dse.SearchSpace, error) {
 	}
 	// A top-level fabric list adds the fabric axis to the search (unless
 	// the spec already names one), mirroring the grid path's crossing.
-	if kinds, err := req.fabricKinds(); err != nil {
+	kinds, err := req.fabricKinds()
+	if err != nil {
 		return dse.SearchSpace{}, err
-	} else if len(kinds) > 0 && !hasAxis(axes, "fabric") {
-		vals := make([]int, len(kinds))
-		for i, k := range kinds {
-			vals[i] = int(k)
-		}
-		axes = append(append([]dse.SearchAxis{}, axes...), dse.SearchAxis{Name: "fabric", Values: vals})
 	}
-	sp := dse.SearchSpace{Base: base, Axes: axes}
+	sp := dse.SearchSpace{Base: base, Axes: dse.WithFabricAxis(axes, kinds)}
 	if err := sp.Validate(); err != nil {
 		return dse.SearchSpace{}, err
 	}
 	return sp, nil
-}
-
-// hasAxis reports whether axes already name the given dimension.
-func hasAxis(axes []dse.SearchAxis, name string) bool {
-	for _, a := range axes {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // searchBudget applies the server clamp to a request's budget.
@@ -134,8 +119,8 @@ type searchSummaryLine struct {
 	Pareto      []report.Record `json:"pareto"`
 }
 
-func encodeSearchRound(sp dse.SearchSpace, p dse.SearchProgress) []byte {
-	line := searchRoundLine{
+func searchRoundOf(sp dse.SearchSpace, p dse.SearchProgress) *searchRoundLine {
+	line := &searchRoundLine{
 		Status:    "round",
 		Round:     p.Round,
 		Evaluated: p.Evaluated,
@@ -154,68 +139,27 @@ func encodeSearchRound(sp dse.SearchSpace, p dse.SearchProgress) []byte {
 			EDPnJs:    fp.EDPJs * 1e9,
 		})
 	}
-	data, _ := json.Marshal(&line)
-	return append(data, '\n')
+	return line
 }
 
-// appendSearchLine publishes one stream line and wakes tailing streamers.
-// Callers pass the job's updated progress counters alongside.
-func (s *Server) appendSearchLine(j *job, line []byte, p *dse.SearchProgress) {
-	s.jmu.Lock()
-	if p != nil {
-		j.searchRound = p.Round + 1
-		j.searchEvaluated = p.Evaluated
-		j.searchSimulated = p.Simulated
-		j.searchFrontSize = p.FrontSize
-	}
-	j.searchLines = append(j.searchLines, line)
-	close(j.searchUpdate)
-	j.searchUpdate = make(chan struct{})
-	s.jmu.Unlock()
-}
-
-// runSearchJob drives one adaptive-search job to a terminal state. Search
-// jobs run dse.Search on its own runner pool (sized like the server's) and
-// bypass the entry/singleflight layer — but share the durable store, so
-// their points warm the same cache grid sweeps use, and a resumed search
-// replays stored points instead of re-simulating them. Interruption
-// semantics mirror grid jobs: shutdown leaves the manifest "running" (the
-// boot-time resume signal) with the frontier checkpoint in the store; client
-// cancellation and completion are terminal and drop the checkpoint.
-func (s *Server) runSearchJob(ctx context.Context, j *job) {
-	defer s.wgJobs.Done()
-	defer s.activeJobs.Add(-1)
-	defer close(j.done)
-	close(j.acquired) // no entry table: pollers must never block on it
-
-	if ctx.Err() != nil {
-		s.finishJob(j, jobCancelled, "")
-		s.dropSearchState(j)
-		return
-	}
-	k, err := s.kernelFor(j.req.Kernel)
-	if err != nil {
-		s.finishJob(j, jobFailed, err.Error())
-		return
-	}
+// runSearch runs an adaptive-search job on the server's shared evaluator:
+// its points share the singleflight, memory cache and store with /sweep
+// and grid jobs, so a search replays points any of them already evaluated.
+// It publishes one round line per completed round — replayed rounds first
+// on a resumed job — then the summary. With a store, the frontier
+// checkpoints under search/<id> after every round.
+func (s *Server) runSearch(ctx context.Context, j *job, k *soc.Compiled) error {
 	sp, err := s.searchSpace(j.req)
 	if err != nil {
-		s.finishJob(j, jobFailed, err.Error())
-		return
+		return err
 	}
-
 	spec := j.req.Search
 	opts := dse.SearchOptions{
 		Seed:        spec.Seed,
-		Budget:      s.searchBudget(spec),
+		Budget:      j.points,
 		InitSamples: spec.Init,
 		RoundSize:   spec.Round,
 		Patience:    spec.Patience,
-		Workers:     s.opt.Workers,
-		Retry: dse.RetryPolicy{
-			Max:     s.opt.MaxPointRetries,
-			Backoff: s.opt.PointRetryBackoff,
-		},
 	}
 	if s.opt.Store != nil {
 		opts.Cache = &dse.StoreCache{Kernel: j.req.Kernel, Store: s.opt.Store}
@@ -225,51 +169,29 @@ func (s *Server) runSearchJob(ctx context.Context, j *job) {
 	opts.Progress = func(p dse.SearchProgress) {
 		s.searchRounds.Add(1)
 		if d := p.Simulated - lastSim; d > 0 {
-			s.pointsSimulated.Add(uint64(d))
 			s.searchPoints.Add(uint64(d))
 			lastSim = p.Simulated
 		}
-		s.appendSearchLine(j, encodeSearchRound(sp, p), &p)
+		s.publish(j, searchRoundOf(sp, p), func() {
+			j.round = p.Round + 1
+			j.completed = p.Evaluated
+			j.simulated = p.Simulated
+			j.frontSize = p.FrontSize
+		})
 	}
 
-	sctx := ctx
 	if s.opt.Spans != nil {
 		root := s.opt.Spans.StartTrace("search-job")
 		root.SetAttr("job", j.id)
 		root.SetAttr("kernel", j.req.Kernel)
 		root.SetAttr("budget", opts.Budget)
 		defer root.EndSpan()
-		sctx = obs.WithSpan(ctx, root)
+		ctx = obs.WithSpan(ctx, root)
 	}
-
-	res, err := dse.Search(sctx, k, sp, opts)
+	res, err := s.eval.Search(ctx, j.req.Kernel, k, sp, opts)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.jmu.Lock()
-			cancelled := j.clientCancelled
-			s.jmu.Unlock()
-			if cancelled {
-				s.finishJob(j, jobCancelled, "")
-				s.dropSearchState(j)
-			} else {
-				// Shutdown interruption: manifest stays "running" on disk and
-				// the frontier checkpoint stays in the store — together the
-				// resume signal for the next boot.
-				s.jmu.Lock()
-				j.state = jobRunning
-				s.jmu.Unlock()
-				if lg := s.opt.Logger; lg != nil {
-					lg.Info("search job interrupted for shutdown; will resume on restart",
-						"job", j.id)
-				}
-			}
-			return
-		}
-		s.finishJob(j, jobFailed, err.Error())
-		s.dropSearchState(j)
-		return
+		return err
 	}
-
 	sum := searchSummaryLine{
 		Status:      "summary",
 		Kind:        "search",
@@ -283,73 +205,6 @@ func (s *Server) runSearchJob(ctx context.Context, j *job) {
 		rec := report.FromResult(j.req.Kernel, best.Res)
 		sum.EDPOptimal = &rec
 	}
-	data, _ := json.Marshal(&sum)
-	s.appendSearchLine(j, append(data, '\n'), nil)
-	s.finishJob(j, jobCompleted, "")
-	s.dropSearchState(j)
-}
-
-// dropSearchState removes a terminal job's frontier checkpoint; the
-// simulated point records stay (they are content-addressed and shared).
-func (s *Server) dropSearchState(j *job) {
-	if s.opt.Store != nil {
-		_ = s.opt.Store.Delete(searchKeyPrefix + j.id)
-	}
-}
-
-// streamSearchResults tails a search job's NDJSON stream: every published
-// round line (replayed ones first on a resumed job), then the summary once
-// the job completes. The connection ends early if the job is interrupted,
-// cancelled, or the client goes away.
-func (s *Server) streamSearchResults(w http.ResponseWriter, r *http.Request, j *job) {
-	// A job that failed before producing any stream is a conflict, not an
-	// empty stream (mirrors the grid path's failed-submission answer).
-	s.jmu.Lock()
-	state, errMsg, hasLines := j.state, j.errMsg, len(j.searchLines) > 0
-	s.jmu.Unlock()
-	if (state == jobFailed || state == jobCancelled) && !hasLines {
-		http.Error(w, "job "+state+": "+errMsg, http.StatusConflict)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	fl, _ := w.(http.Flusher)
-
-	next := 0
-	for {
-		s.jmu.Lock()
-		lines := j.searchLines
-		update := j.searchUpdate
-		s.jmu.Unlock()
-		for ; next < len(lines); next++ {
-			if _, err := w.Write(lines[next]); err != nil {
-				return
-			}
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		select {
-		case <-j.done:
-			// Drain lines published between the snapshot and done (the
-			// summary races the close); an interrupted or failed job ends
-			// the stream at the last published round.
-			s.jmu.Lock()
-			lines = j.searchLines
-			s.jmu.Unlock()
-			for ; next < len(lines); next++ {
-				if _, err := w.Write(lines[next]); err != nil {
-					return
-				}
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-			return
-		case <-update:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.publish(j, &sum, nil)
+	return nil
 }

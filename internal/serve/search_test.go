@@ -349,3 +349,99 @@ func TestSearchJobCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchJobSharesSweepCache pins that search jobs evaluate on the
+// server's one evaluator: a search over exactly the grid a /sweep already
+// simulated replays every point from the memory cache — no store involved —
+// so the server simulates each point once across both.
+func TestSearchJobSharesSweepCache(t *testing.T) {
+	s, ts := newTestServer(t, serve.Options{Workers: 2})
+	grid := quickReq()
+	if code, body := postSweep(t, ts.URL, grid); code != http.StatusOK {
+		t.Fatalf("sweep: %d: %s", code, body)
+	}
+	req := serve.SweepRequest{
+		Kernel: grid.Kernel,
+		Mem:    grid.Mem,
+		Search: &serve.SearchSpec{Seed: 3, Budget: 4, Axes: []dse.SearchAxis{
+			{Name: "lanes", Values: grid.Lanes},
+			{Name: "partitions", Values: grid.Partitions},
+		}},
+	}
+	id := submitJob(t, ts.URL, req)
+	if st := waitJob(t, ts.URL, id); st.State != "completed" || st.Completed != 4 {
+		t.Fatalf("search job %+v, want completed over all 4 grid points", st)
+	}
+	if sim := s.Snapshot().PointsSimulated; sim != 4 {
+		t.Fatalf("PointsSimulated = %d across the sweep and the search of its grid, want 4", sim)
+	}
+}
+
+// malformedSearch is a ~2 KB search request whose 64 binary "lanes" axes
+// repeat one name and wrap the space's uint64 size to zero.
+func malformedSearch() serve.SweepRequest {
+	axes := make([]dse.SearchAxis, 64)
+	for i := range axes {
+		axes[i] = dse.SearchAxis{Name: "lanes", Values: []int{1, 2}}
+	}
+	return serve.SweepRequest{Kernel: "spmv-crs", Mem: "dma",
+		Search: &serve.SearchSpec{Seed: 1, Budget: 8, Axes: axes}}
+}
+
+// TestSearchJobRejectsMalformedSpace: a search space Validate rejects is a
+// client error at submission, never a job that runs (and panics).
+func TestSearchJobRejectsMalformedSpace(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1})
+	body, err := json.Marshal(malformedSearch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /jobs with 64 repeated axes: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestResumeFailsMalformedSearchManifest boots a server over a store that
+// already holds a "running" manifest for a malformed search — as a server
+// that accepted one before Validate rejected it would leave behind. The
+// boot must fail the job durably instead of resuming it into a panic.
+func TestResumeFailsMalformedSearchManifest(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "results"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const id = "0123456789abcdef"
+	manifest, err := json.Marshal(map[string]any{
+		"id": id, "state": "running", "created": time.Now(), "request": malformedSearch(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("job/"+id, manifest); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, serve.Options{Workers: 1, Store: st})
+	if got := getJob(t, ts.URL, id); got.State != "failed" || got.Error == "" {
+		t.Fatalf("malformed manifest booted as %+v, want failed with an error", got)
+	}
+	if snap := s.Snapshot(); snap.JobsResumed != 0 || snap.JobsFailed != 1 {
+		t.Fatalf("resumed %d / failed %d jobs, want 0 / 1", snap.JobsResumed, snap.JobsFailed)
+	}
+	data, ok, err := st.Get("job/" + id)
+	if err != nil || !ok {
+		t.Fatalf("manifest missing: ok=%v err=%v", ok, err)
+	}
+	var m struct {
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil || m.State != "failed" {
+		t.Fatalf("durable manifest state %q (%v), want failed", m.State, err)
+	}
+}

@@ -1,11 +1,11 @@
 // Package serve turns the design-space explorer into a long-running HTTP
 // service: sweep-as-a-service. Clients POST a kernel name and a config grid
-// to /sweep and get back the Pareto front and EDP optimum as JSON; the
-// server runs the points on a bounded pool of reused soc.Runners, memoizes
-// every simulated design point in a content-addressed cache keyed by
-// dse.PointKey (canonical hash of kernel + soc.Config), and deduplicates
-// concurrent identical work singleflight-style, so N clients asking for the
-// same sweep cost one simulation per unique point.
+// to /sweep and get back the Pareto front and EDP optimum as JSON. Every
+// point — of /sweep requests, grid jobs and search jobs alike — runs on one
+// shared dse.Evaluator, which memoizes outcomes in a content-addressed cache
+// keyed by dse.PointKey (canonical hash of kernel + soc.Config) and
+// deduplicates concurrent identical work singleflight-style, so N clients
+// asking for the same sweep cost one simulation per unique point.
 //
 // Operational behavior:
 //
@@ -27,10 +27,9 @@
 //     GET /trace/{id} replays the trace as Perfetto JSON. Options.Logger
 //     (log/slog) receives request, slow-point, and lifecycle records.
 //
-// Responses are bit-identical to a direct dse.Sweep over the same grid:
-// workers call (*soc.Runner).Run, which is verified bit-identical to
-// soc.Run, and aborted (fault-poisoned) points are compacted out of the
-// space in request order exactly as dse.Sweep does.
+// Responses are bit-identical to a direct dse.Sweep over the same grid: both
+// run on a dse.Evaluator, and aborted (fault-poisoned) points are compacted
+// out of the space in request order exactly as dse.Sweep does.
 package serve
 
 import (
@@ -47,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gem5aladdin/internal/ddg"
 	"gem5aladdin/internal/dse"
 	"gem5aladdin/internal/fault"
 	"gem5aladdin/internal/machsuite"
@@ -179,17 +179,12 @@ type Server struct {
 	// admit holds one token per admitted request: the backpressure bound.
 	admit chan struct{}
 
-	// mu guards the point queue, the result cache, and entry waiter
-	// bookkeeping; cond signals workers when the queue grows.
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []*entry
-	qhead      int
-	cache      map[string]*entry
-	evictOrder []string
-	evictHead  int
-	closed     bool // Shutdown began: admit no new requests
-	closing    bool // requests drained: workers exit once the queue empties
+	// eval runs every design point the server evaluates.
+	eval *dse.Evaluator
+
+	// mu orders admissions against Shutdown's drain.
+	mu     sync.Mutex
+	closed bool // Shutdown began: admit no new requests
 
 	gmu    sync.Mutex
 	graphs map[string]*graphEntry
@@ -198,22 +193,14 @@ type Server struct {
 	jmu  sync.Mutex
 	jobs map[string]*job
 
-	wgReq     sync.WaitGroup
-	wgWorkers sync.WaitGroup
-	wgJobs    sync.WaitGroup
+	wgReq  sync.WaitGroup
+	wgJobs sync.WaitGroup
 
 	start time.Time
 
-	requests        atomic.Uint64
-	rejected        atomic.Uint64
-	cacheHits       atomic.Uint64
-	cacheMisses     atomic.Uint64
-	warmHits        atomic.Uint64
-	pointsSimulated atomic.Uint64
-	pointsAborted   atomic.Uint64
-	pointsAbandoned atomic.Uint64
-	pointRetries    atomic.Uint64
-	activeRequests  atomic.Int64
+	requests       atomic.Uint64
+	rejected       atomic.Uint64
+	activeRequests atomic.Int64
 
 	jobsSubmitted atomic.Uint64
 	jobsCompleted atomic.Uint64
@@ -232,27 +219,30 @@ type Server struct {
 	latency *obs.Histogram
 }
 
-// New starts a Server: registers its statistics and launches the worker
-// pool. Callers own shutdown via Shutdown.
+// New starts a Server: registers its statistics and launches the
+// evaluator's worker pool. Callers own shutdown via Shutdown.
 func New(opt Options) *Server {
 	opt.setDefaults()
 	s := &Server{
-		opt:    opt,
-		reg:    obs.NewRegistry(),
-		mux:    http.NewServeMux(),
-		admit:  make(chan struct{}, opt.QueueDepth),
-		cache:  make(map[string]*entry),
+		opt:   opt,
+		reg:   obs.NewRegistry(),
+		mux:   http.NewServeMux(),
+		admit: make(chan struct{}, opt.QueueDepth),
+		eval: dse.NewEvaluator(dse.EvaluatorOptions{
+			Workers:      opt.Workers,
+			Store:        opt.Store,
+			CacheEntries: opt.CacheEntries,
+			Retry:        dse.RetryPolicy{Max: opt.MaxPointRetries, Backoff: opt.PointRetryBackoff},
+			PointBudget:  opt.PointBudget,
+			Logger:       opt.Logger,
+			SlowPoint:    opt.SlowPoint,
+		}),
 		graphs: make(map[string]*graphEntry),
 		jobs:   make(map[string]*job),
 		start:  time.Now(),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.registerStats()
 	s.routes()
-	s.wgWorkers.Add(opt.Workers)
-	for i := 0; i < opt.Workers; i++ {
-		go s.worker()
-	}
 	// Resume any jobs a previous process left running in the store. This
 	// happens after the workers start, so resumed points begin simulating
 	// immediately; already-finished points come back from the store.
@@ -276,25 +266,23 @@ func (s *Server) registerStats() {
 	r.GaugeFunc("serve.requests.active", "requests currently admitted", func() float64 {
 		return float64(s.activeRequests.Load())
 	})
-	r.CounterFunc("serve.cache.hits", "design points served without a new simulation", s.cacheHits.Load)
-	r.CounterFunc("serve.cache.misses", "design points that required simulation", s.cacheMisses.Load)
+	ev := s.eval.Stats
+	r.CounterFunc("serve.cache.hits", "design points served without a new simulation", func() uint64 { return ev().Hits })
+	r.CounterFunc("serve.cache.misses", "design points that required simulation", func() uint64 { return ev().Simulated })
 	r.Formula("serve.cache.hit_rate", "fraction of requested points served from cache or joined in flight", func() float64 {
-		h, m := float64(s.cacheHits.Load()), float64(s.cacheMisses.Load())
+		st := ev()
+		h, m := float64(st.Hits), float64(st.Simulated)
 		if h+m == 0 {
 			return 0
 		}
 		return h / (h + m)
 	})
-	r.GaugeFunc("serve.cache.entries", "design points resident in the result cache", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.cache))
-	})
-	r.CounterFunc("serve.cache.warm_hits", "design points served from the durable store at first touch", s.warmHits.Load)
-	r.CounterFunc("serve.points.simulated", "design points actually simulated", s.pointsSimulated.Load)
-	r.CounterFunc("serve.points.aborted", "simulated points poisoned by the robustness layer", s.pointsAborted.Load)
-	r.CounterFunc("serve.points.abandoned", "queued points skipped after every requester cancelled", s.pointsAbandoned.Load)
-	r.CounterFunc("serve.points.retries", "fault-abort retries spent by workers", s.pointRetries.Load)
+	r.GaugeFunc("serve.cache.entries", "design points resident in the result cache", func() float64 { return float64(ev().Entries) })
+	r.CounterFunc("serve.cache.warm_hits", "design points served from the durable store at first touch", func() uint64 { return ev().WarmHits })
+	r.CounterFunc("serve.points.simulated", "design points actually simulated", func() uint64 { return ev().Simulated })
+	r.CounterFunc("serve.points.aborted", "simulated points poisoned by the robustness layer", func() uint64 { return ev().Aborted })
+	r.CounterFunc("serve.points.abandoned", "queued points skipped after every requester cancelled", func() uint64 { return ev().Abandoned })
+	r.CounterFunc("serve.points.retries", "fault-abort retries spent by workers", func() uint64 { return ev().Retries })
 	r.CounterFunc("serve.jobs.submitted", "sweep jobs accepted via POST /jobs", s.jobsSubmitted.Load)
 	r.CounterFunc("serve.jobs.completed", "jobs that reached completion", s.jobsCompleted.Load)
 	r.CounterFunc("serve.jobs.failed", "jobs that failed terminally", s.jobsFailed.Load)
@@ -308,17 +296,13 @@ func (s *Server) registerStats() {
 	if s.opt.Store != nil {
 		s.opt.Store.RegisterStats(r, "store")
 	}
-	r.GaugeFunc("serve.queue.points", "design points queued awaiting a worker", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.queue) - s.qhead)
-	})
+	r.GaugeFunc("serve.queue.points", "design points queued awaiting a worker", func() float64 { return float64(ev().Queued) })
 	r.Formula("serve.points.per_sec", "simulated points per second of uptime", func() float64 {
 		up := time.Since(s.start).Seconds()
 		if up <= 0 {
 			return 0
 		}
-		return float64(s.pointsSimulated.Load()) / up
+		return float64(ev().Simulated) / up
 	})
 	s.latency = r.Histogram("serve.sweep.latency_ms", "end-to-end sweep request latency",
 		[]float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000})
@@ -469,20 +453,6 @@ func (f FaultSpec) Config() fault.Config {
 	}
 }
 
-// memKind parses the request's memory system.
-func (req SweepRequest) memKind() (soc.MemKind, error) {
-	switch req.Mem {
-	case "", "dma":
-		return soc.DMA, nil
-	case "isolated":
-		return soc.Isolated, nil
-	case "cache":
-		return soc.Cache, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown mem kind %q (want isolated, dma, or cache)", req.Mem)
-	}
-}
-
 // baseConfig assembles the validated base design point every grid or search
 // point derives from: bus width, fault injection, and watchdog budget.
 func (req SweepRequest) baseConfig() (soc.Config, error) {
@@ -524,9 +494,9 @@ func (req SweepRequest) Configs() ([]soc.Config, error) {
 	if req.Search != nil {
 		return nil, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
 	}
-	kind, err := req.memKind()
+	kind, err := soc.ParseMemKind(req.Mem)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	base, err := req.baseConfig()
 	if err != nil {
@@ -554,26 +524,20 @@ func (req SweepRequest) Configs() ([]soc.Config, error) {
 	if len(req.CacheAssoc) > 0 {
 		opt.CacheAssoc = req.CacheAssoc
 	}
-	kinds, err := req.fabricKinds()
-	if err != nil {
+	if opt.Fabrics, err = req.fabricKinds(); err != nil {
 		return nil, err
 	}
-	var cfgs []soc.Config
-	if kind == soc.Cache {
-		// CacheConfigs validates and silently prunes illegal combinations
-		// (that is the sweep contract), so an all-illegal grid surfaces as
-		// the empty-grid error below.
-		cfgs = dse.CacheConfigs(base, opt.Lanes, opt.CacheKB, opt.CacheLines,
-			opt.CachePorts, opt.CacheAssoc)
-	} else {
-		cfgs = dse.SpadConfigs(base, kind, opt.Lanes, opt.Partitions)
+	cfgs := dse.GridConfigs(base, kind, opt)
+	if kind != soc.Cache {
+		// The cache expansion prunes illegal geometries (that is the sweep
+		// contract), so an all-illegal cache grid surfaces as the empty-grid
+		// error below; a scratchpad grid has nothing to prune.
 		for _, c := range cfgs {
 			if err := c.Validate(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	cfgs = dse.WithFabrics(cfgs, kinds)
 	if len(cfgs) == 0 {
 		return nil, errors.New("serve: request expands to an empty design grid")
 	}
@@ -731,66 +695,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// sweep resolves every grid point through the cache/singleflight layer,
-// waits for the outstanding ones, and assembles the response in request
-// order with aborted points compacted out — the dse.Sweep contract.
+// sweep evaluates the grid on the shared evaluator, waits for every point,
+// and assembles the response in request order with aborted points
+// compacted out — the dse.Sweep contract.
 func (s *Server) sweep(ctx context.Context, req SweepRequest, k *soc.Compiled, cfgs []soc.Config) (*SweepResponse, int, error) {
 	span := obs.SpanFromContext(ctx)
-	entries := make([]*entry, len(cfgs))
-	byKey := make(map[string]*entry, len(cfgs))
-	var uniq, joined []*entry
-	cached := 0
 	lookup := span.Child("cache-lookup")
-	for i, cfg := range cfgs {
-		key := dse.PointKey(req.Kernel, cfg)
-		if e, ok := byKey[key]; ok {
-			entries[i] = e // duplicate point within one request
-			continue
-		}
-		// Track i+1 gives each design point its own Perfetto row; track 0
-		// carries the request phases.
-		e, join, hit := s.acquire(key, k, cfg, span, i+1)
-		entries[i] = e
-		byKey[key] = e
-		uniq = append(uniq, e)
-		if join {
-			joined = append(joined, e)
-		}
-		if hit {
-			cached++
-		}
-	}
-	lookup.SetAttr("unique", len(uniq))
-	lookup.SetAttr("cached", cached)
+	c := s.eval.Submit(ctx, req.Kernel, k, cfgs)
 	lookup.EndSpan()
-	// Dropping the claims releases unstarted points for skipping whether we
+	// Dropping the claim releases unstarted points for skipping whether we
 	// finish, time out, or the client disconnects.
-	defer s.release(joined)
+	defer c.Release()
 
 	await := span.Child("await-points")
 	defer await.EndSpan()
-	for _, e := range uniq {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			await.SetAttr("timeout", ctx.Err().Error())
-			return nil, http.StatusGatewayTimeout,
-				fmt.Errorf("serve: sweep unfinished: %v", ctx.Err())
-		}
+	if err := c.Wait(ctx); err != nil {
+		await.SetAttr("timeout", err.Error())
+		return nil, http.StatusGatewayTimeout, fmt.Errorf("serve: sweep unfinished: %v", err)
 	}
 
 	space := make(dse.Space, 0, len(cfgs))
 	aborted := 0
 	for i, cfg := range cfgs {
-		e := entries[i]
-		if e.err != nil {
-			return nil, http.StatusInternalServerError, e.err
-		}
-		if e.aborted {
+		switch o := c.Outcome(i); {
+		case o.Res != nil:
+			space = append(space, dse.Point{Cfg: cfg, Res: o.Res})
+		case o.Kind == dse.KindError:
+			return nil, http.StatusInternalServerError, o.Err
+		default:
 			aborted++
-			continue
 		}
-		space = append(space, dse.Point{Cfg: cfg, Res: e.res})
 	}
 
 	resp := &SweepResponse{
@@ -799,7 +733,7 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest, k *soc.Compiled, c
 		RequestedPoints: len(cfgs),
 		EvaluatedPoints: len(space),
 		AbortedPoints:   aborted,
-		CachedPoints:    cached,
+		CachedPoints:    c.Cached(),
 		Pareto:          spaceRecords(req.Kernel, space.ParetoFront()),
 	}
 	if best, ok := space.EDPOptimal(); ok {
@@ -865,19 +799,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 
-	s.mu.Lock()
-	s.closing = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if err == nil {
-		s.wgWorkers.Wait()
+	// With the drain done the workers skip the abandoned backlog and exit;
+	// after a timed-out drain ctx is spent, so Close signals them to wind
+	// down without awaiting stragglers.
+	if cerr := s.eval.Close(ctx); err == nil {
+		err = cerr
 	}
 	if lg != nil {
 		if err != nil {
 			lg.Warn("shutdown: drain timed out; workers abandoned", "err", err.Error())
 		} else {
 			lg.Info("shutdown complete",
-				"points_simulated", s.pointsSimulated.Load(),
+				"points_simulated", s.eval.Stats().Simulated,
 				"requests", s.requests.Load())
 		}
 	}
@@ -899,19 +832,17 @@ type Snapshot struct {
 
 // Snapshot reads the counters.
 func (s *Server) Snapshot() Snapshot {
-	s.mu.Lock()
-	queued, entries := len(s.queue)-s.qhead, len(s.cache)
-	s.mu.Unlock()
+	ev := s.eval.Stats()
 	return Snapshot{
 		Requests:        s.requests.Load(),
 		Rejected:        s.rejected.Load(),
-		CacheHits:       s.cacheHits.Load(),
-		CacheMisses:     s.cacheMisses.Load(),
-		WarmHits:        s.warmHits.Load(),
-		PointsSimulated: s.pointsSimulated.Load(),
-		PointsAborted:   s.pointsAborted.Load(),
-		PointsAbandoned: s.pointsAbandoned.Load(),
-		PointRetries:    s.pointRetries.Load(),
+		CacheHits:       ev.Hits,
+		CacheMisses:     ev.Simulated,
+		WarmHits:        ev.WarmHits,
+		PointsSimulated: ev.Simulated,
+		PointsAborted:   ev.Aborted,
+		PointsAbandoned: ev.Abandoned,
+		PointRetries:    ev.Retries,
 		JobsSubmitted:   s.jobsSubmitted.Load(),
 		JobsCompleted:   s.jobsCompleted.Load(),
 		JobsResumed:     s.jobsResumed.Load(),
@@ -919,7 +850,37 @@ func (s *Server) Snapshot() Snapshot {
 		JobsCancelled:   s.jobsCancelled.Load(),
 		ActiveRequests:  s.activeRequests.Load(),
 		ActiveJobs:      s.activeJobs.Load(),
-		QueuedPoints:    queued,
-		CacheEntries:    entries,
+		QueuedPoints:    ev.Queued,
+		CacheEntries:    ev.Entries,
 	}
+}
+
+// kernelFor resolves a kernel name to its (cached) compiled artifact.
+// Building a trace is expensive — the kernel executes functionally while
+// tracing — and compiling derives the shared scheduling products, so both
+// happen once per kernel per server, concurrency-safe via sync.Once; every
+// queued design point then shares the one read-only artifact.
+func (s *Server) kernelFor(kernel string) (*soc.Compiled, error) {
+	s.gmu.Lock()
+	ge, ok := s.graphs[kernel]
+	if !ok {
+		ge = &graphEntry{}
+		s.graphs[kernel] = ge
+	}
+	s.gmu.Unlock()
+	ge.once.Do(func() {
+		tr, err := s.opt.BuildKernel(kernel)
+		if err != nil {
+			ge.err = err
+			return
+		}
+		ge.k = soc.Compile(ddg.Build(tr))
+	})
+	return ge.k, ge.err
+}
+
+type graphEntry struct {
+	once sync.Once
+	k    *soc.Compiled
+	err  error
 }

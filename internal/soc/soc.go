@@ -69,6 +69,20 @@ func (m MemKind) String() string {
 	return fmt.Sprintf("MemKind(%d)", uint8(m))
 }
 
+// ParseMemKind maps a CLI/wire name to the memory system it selects. Only
+// the swept systems have names; "" selects DMA.
+func ParseMemKind(s string) (MemKind, error) {
+	switch s {
+	case "dma", "":
+		return DMA, nil
+	case "isolated":
+		return Isolated, nil
+	case "cache":
+		return Cache, nil
+	}
+	return 0, fmt.Errorf("unknown memory system %q (want isolated, dma, or cache)", s)
+}
+
 // TrafficConfig enables a background bus agent (shared-resource contention).
 type TrafficConfig struct {
 	Period sim.Tick

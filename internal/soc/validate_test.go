@@ -128,3 +128,18 @@ func TestRunRejectsImpossibleConfig(t *testing.T) {
 		t.Fatal("RunMulti accepted a zero Config in position 1")
 	}
 }
+
+// TestParseMemKind pins the one parser behind every -mem flag and the
+// service's "mem" field: exactly the swept systems, with "" meaning DMA.
+func TestParseMemKind(t *testing.T) {
+	for name, want := range map[string]MemKind{"isolated": Isolated, "dma": DMA, "cache": Cache, "": DMA} {
+		if got, err := ParseMemKind(name); err != nil || got != want {
+			t.Errorf("ParseMemKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"ideal", "DMA", "telepathy"} {
+		if _, err := ParseMemKind(name); err == nil {
+			t.Errorf("ParseMemKind(%q) accepted", name)
+		}
+	}
+}
