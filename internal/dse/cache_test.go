@@ -2,10 +2,14 @@ package dse
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"gem5aladdin/internal/core"
 	"gem5aladdin/internal/fault"
 	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
@@ -254,4 +258,405 @@ func TestRetryPolicyDelay(t *testing.T) {
 	if !(RetryPolicy{Max: 1}).Retryable(soc.AbortFault) {
 		t.Fatal("fault aborts must be retryable under a positive budget")
 	}
+}
+
+// TestDecodePointRejectsOutcomeless pins that a record must hold exactly one
+// outcome: a point with neither a result nor a classified abort used to
+// replay as an aborted point with a nil error and crash the job streamer.
+func TestDecodePointRejectsOutcomeless(t *testing.T) {
+	res := &soc.RunResult{Cycles: 1}
+	for name, cp := range map[string]*CachedPoint{
+		"empty":              {},
+		"unclassified abort": {Aborted: true, Kind: KindError, Err: "boom"},
+		"unlabelled abort":   {Aborted: true},
+		"result and abort":   {Aborted: true, Kind: soc.AbortStall, Result: res},
+	} {
+		data, err := EncodePoint(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := DecodePoint(data); ok || err == nil {
+			t.Errorf("%s: ok=%v err=%v, want an error", name, ok, err)
+		}
+	}
+}
+
+// stencilPoints simulates the default stencil3d DMA and cache design points:
+// the records the codec gates and benchmarks measure.
+func stencilPoints(tb testing.TB) []*CachedPoint {
+	tb.Helper()
+	k := kernelOf(tb, "stencil-stencil3d")
+	var cps []*CachedPoint
+	for _, mem := range []soc.MemKind{soc.DMA, soc.Cache} {
+		res, err := soc.Run(k, memConfig(mem))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cps = append(cps, &CachedPoint{Result: res})
+	}
+	return cps
+}
+
+// TestPointCodecAllocs gates the replay path's allocations, which are
+// deterministic: decoding a stored result allocates the point, its result
+// and its slices, and keying a point allocates only the key string.
+func TestPointCodecAllocs(t *testing.T) {
+	for _, cp := range stencilPoints(t) {
+		data, err := EncodePoint(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := cp.Result.Config.Mem
+		if a := testing.AllocsPerRun(100, func() {
+			if _, ok, err := DecodePoint(data); !ok || err != nil {
+				t.Fatalf("DecodePoint: ok=%v err=%v", ok, err)
+			}
+		}); a > 5 {
+			t.Errorf("%v: DecodePoint allocates %.0f times per record, want <= 5", mem, a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			PointKey("stencil-stencil3d", cp.Result.Config)
+		}); a > 2 {
+			t.Errorf("%v: PointKey allocates %.0f times, want <= 2", mem, a)
+		}
+	}
+}
+
+var (
+	benchPoint *CachedPoint
+	benchBytes []byte
+	benchKey   string
+)
+
+func BenchmarkDecodePoint(b *testing.B) {
+	for _, cp := range stencilPoints(b) {
+		data, err := EncodePoint(cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(cp.Result.Config.Mem.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(len(data)), "B/record")
+			for i := 0; i < b.N; i++ {
+				benchPoint, _, _ = DecodePoint(data)
+			}
+		})
+	}
+}
+
+func BenchmarkEncodePoint(b *testing.B) {
+	for _, cp := range stencilPoints(b) {
+		b.Run(cp.Result.Config.Mem.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchBytes, _ = EncodePoint(cp)
+			}
+		})
+	}
+}
+
+func BenchmarkPointKey(b *testing.B) {
+	for _, cp := range stencilPoints(b) {
+		cfg := cp.Result.Config
+		b.Run(cfg.Mem.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchKey = PointKey("stencil-stencil3d", cfg)
+			}
+		})
+	}
+}
+
+// TestPointRecordCoversEveryField is the codec's coverage gate, the record
+// twin of soc's TestCanonicalCoversEveryField: every leaf of CachedPoint
+// except Config.Obs gets a distinct non-zero value, and the decoded point
+// must equal the original. A field the walk dropped or misread comes back
+// zero or wrong. Every slice and pointer is then also tried nil, empty (or
+// pointing at a zero value) and set, so nil stays distinct from empty.
+func TestPointRecordCoversEveryField(t *testing.T) {
+	roundTrip := func(name string, cp *CachedPoint) {
+		t.Helper()
+		cp.Schema = pointSchema
+		data, err := EncodePoint(cp)
+		if err != nil {
+			t.Fatalf("%s: EncodePoint: %v", name, err)
+		}
+		got, ok, err := DecodePoint(data)
+		if err != nil || !ok {
+			t.Fatalf("%s: DecodePoint: ok=%v err=%v", name, ok, err)
+		}
+		if !reflect.DeepEqual(got, cp) {
+			t.Errorf("%s: decoded point differs:\n got %+v\nwant %+v", name, got, cp)
+		}
+	}
+
+	filled := func() *CachedPoint {
+		cp := &CachedPoint{}
+		n := 0
+		fillLeaves(reflect.ValueOf(cp).Elem(), &n)
+		if n < 100 {
+			t.Fatalf("leaf enumeration looks broken: only %d leaves", n)
+		}
+		cp.Aborted = false // a record holds a result or an abort, not both
+		return cp
+	}
+	roundTrip("every field set", filled())
+	abort := filled()
+	abort.Result, abort.Aborted, abort.Kind = nil, true, soc.AbortSanitize
+	roundTrip("abort", abort)
+
+	for _, idx := range refLeaves(reflect.TypeOf(CachedPoint{}), nil) {
+		for _, variant := range []string{"nil", "empty", "set"} {
+			cp := filled()
+			v := reflect.ValueOf(cp).Elem().FieldByIndex(idx)
+			switch {
+			case variant == "nil":
+				v.Set(reflect.Zero(v.Type()))
+			case variant == "empty" && v.Kind() == reflect.Slice:
+				v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+			case variant == "empty":
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			if cp.Result == nil {
+				cp.Aborted, cp.Kind = true, soc.AbortFault
+			}
+			roundTrip(fmt.Sprintf("%v %s", idx, variant), cp)
+		}
+	}
+
+	mut := filled()
+	mut.Result.Config.Obs = obs.New(false)
+	data, err := EncodePoint(mut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := DecodePoint(data); got == nil || got.Result.Config.Obs != nil {
+		t.Error("Config.Obs leaked into the point record")
+	}
+}
+
+// fillLeaves sets every leaf under v, except Obs fields, to a distinct
+// non-zero value drawn from *n; pointers get a filled element and slices two
+// filled elements.
+func fillLeaves(v reflect.Value, n *int) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*n++
+		v.SetInt(-int64(wideLeaf(v, *n)))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*n++
+		v.SetUint(wideLeaf(v, *n))
+	case reflect.Float32, reflect.Float64:
+		*n++
+		v.SetFloat(-float64(*n) - 0.25)
+	case reflect.String:
+		*n++
+		v.SetString(fmt.Sprint("leaf", *n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillLeaves(v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillLeaves(v.Index(i), n)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).Name != "Obs" {
+				fillLeaves(v.Field(i), n)
+			}
+		}
+	}
+}
+
+// wideLeaf is a distinct value using the top bits of v's width, so wide
+// fields take multi-byte varints.
+func wideLeaf(v reflect.Value, n int) uint64 {
+	top := uint64(1) << (v.Type().Bits() - 2)
+	return top | uint64(n)%top
+}
+
+// refLeaves lists the field index paths of every slice and pointer under
+// struct type t, through nested structs and pointers to structs.
+func refLeaves(t reflect.Type, index []int) [][]int {
+	var out [][]int
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Name == "Obs" {
+			continue
+		}
+		idx := append(append([]int{}, index...), i)
+		ft := f.Type
+		switch ft.Kind() {
+		case reflect.Slice:
+			out = append(out, idx)
+		case reflect.Pointer:
+			out = append(out, idx)
+			if ft.Elem().Kind() == reflect.Struct {
+				out = append(out, refLeaves(ft.Elem(), idx)...)
+			}
+		case reflect.Struct:
+			out = append(out, refLeaves(ft, idx)...)
+		}
+	}
+	return out
+}
+
+// TestPointLayoutFingerprint pins what the record header's layout
+// fingerprint covers: field names, field kinds and array lengths, at any
+// depth. Type names are not part of it.
+func TestPointLayoutFingerprint(t *testing.T) {
+	type inner struct{ D string }
+	type base struct {
+		A int
+		B [2]uint64
+		C *inner
+	}
+	type sameLayout struct {
+		A int
+		B [2]uint64
+		C *struct{ D string }
+	}
+	fp := func(v any) [8]byte { return layoutFingerprint(soc.PlanOf(reflect.TypeOf(v))) }
+	want := fp(base{})
+	if fp(sameLayout{}) != want {
+		t.Error("identical layouts under different type names fingerprint differently")
+	}
+	for name, v := range map[string]any{
+		"field name": struct {
+			A2 int
+			B  [2]uint64
+			C  *inner
+		}{},
+		"field kind": struct {
+			A uint
+			B [2]uint64
+			C *inner
+		}{},
+		"array length": struct {
+			A int
+			B [3]uint64
+			C *inner
+		}{},
+		"nested field name": struct {
+			A int
+			B [2]uint64
+			C *struct{ E string }
+		}{},
+		"nested field kind": struct {
+			A int
+			B [2]uint64
+			C *struct{ D []byte }
+		}{},
+	} {
+		if fp(v) == want {
+			t.Errorf("a change of %s keeps the fingerprint", name)
+		}
+	}
+	if pointLayout == ([8]byte{}) || pointLayout != fp(CachedPoint{}) {
+		t.Error("pointLayout is not CachedPoint's fingerprint")
+	}
+
+	// A kind no walk can encode fails when the plan is built, before any
+	// record is written.
+	for name, v := range map[string]any{
+		"map":       struct{ M map[string]int }{},
+		"interface": struct{ I any }{},
+		"func":      struct{ F func() }{},
+		"chan":      struct{ C chan int }{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("soc.PlanOf accepted a %s field", name)
+				}
+			}()
+			soc.PlanOf(reflect.TypeOf(v))
+		}()
+	}
+}
+
+// pointHeader is the record header followed by the first body fields of an
+// outcome-less point: Schema, Aborted, and the lengths and bytes of Kind and
+// Err come next.
+func pointHeader() []byte {
+	return append(append([]byte{pointMagic}, pointLayout[:]...), pointSchema<<1, 0)
+}
+
+// TestDecodePointRejectsMalformed pins the decoder's bounds: a length prefix
+// beyond the record, a value that overflows its field, a bad flag byte, a
+// truncated record and trailing bytes are errors, never panics or
+// oversized allocations; a record of another layout is a miss.
+func TestDecodePointRejectsMalformed(t *testing.T) {
+	valid, err := EncodePoint(&CachedPoint{Aborted: true, Kind: soc.AbortStall, Err: "stall", Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(valid); i++ {
+		if _, ok, err := DecodePoint(valid[:i]); ok || err == nil {
+			t.Fatalf("record truncated to %d of %d bytes: ok=%v err=%v", i, len(valid), ok, err)
+		}
+	}
+	// Result present, then Config.Mem (a uint8) = 300.
+	overflow := binary.AppendUvarint(append(pointHeader(), 0, 0, 0, 1), 300)
+	for name, data := range map[string][]byte{
+		"string length beyond the record": binary.AppendUvarint(pointHeader(), 1<<40),
+		"huge string length":              binary.AppendUvarint(pointHeader(), math.MaxUint64),
+		"uint8 overflow":                  overflow,
+		"bool byte 2":                     append(append([]byte{}, valid[:1+len(pointLayout)+1]...), 2),
+		"trailing bytes":                  append(append([]byte{}, valid...), 0),
+		"unknown magic":                   append([]byte{'x'}, valid[1:]...),
+	} {
+		if _, ok, err := DecodePoint(data); ok || err == nil {
+			t.Errorf("%s: ok=%v err=%v, want an error", name, ok, err)
+		}
+	}
+	foreign := append([]byte{}, valid...)
+	foreign[1] ^= 0xff
+	if _, ok, err := DecodePoint(foreign); ok || err != nil {
+		t.Errorf("foreign layout: ok=%v err=%v, want a miss", ok, err)
+	}
+}
+
+// FuzzDecodePoint feeds arbitrary bytes to the decoder: it must never panic
+// and must end every input as a point, a miss or an error, and any point it
+// accepts must re-encode to a record that decodes to the same point.
+func FuzzDecodePoint(f *testing.F) {
+	for _, cp := range []*CachedPoint{
+		{Result: &soc.RunResult{Cycles: 7, Datapath: core.Stats{LaneOps: []uint64{1, 2}},
+			FaultLog: []fault.Record{{Seq: 1, Addr: 64}}}},
+		{Aborted: true, Kind: soc.AbortFault, Err: "soc: run aborted: fault", Attempts: 3},
+		{},
+	} {
+		data, err := EncodePoint(cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":1}`))
+	f.Add([]byte("not a record"))
+	f.Add(binary.AppendUvarint(pointHeader(), 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, ok, err := DecodePoint(data)
+		switch {
+		case err != nil || !ok:
+			if cp != nil || (ok && err != nil) {
+				t.Fatalf("ok=%v err=%v with a point", ok, err)
+			}
+		default:
+			again, err := EncodePoint(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp2, ok, err := DecodePoint(again)
+			if !ok || err != nil || !reflect.DeepEqual(cp, cp2) {
+				t.Fatalf("accepted point does not round-trip: ok=%v err=%v", ok, err)
+			}
+		}
+	})
 }

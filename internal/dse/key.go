@@ -14,10 +14,13 @@ import (
 // the encoding, observability attachments are not — so the key is safe to
 // use for result caching and cross-request deduplication.
 func PointKey(kernel string, cfg soc.Config) string {
-	h := sha256.New()
-	h.Write([]byte(kernel))
-	h.Write([]byte{0}) // kernel-name/config domain separator
-	buf := make([]byte, 0, 512)
-	h.Write(cfg.AppendCanonical(buf))
-	return hex.EncodeToString(h.Sum(nil))
+	// Sized for a config with every pointer set (~1.6 KB of canonical
+	// bytes), so the whole input is built and hashed on the stack.
+	var buf [2048]byte
+	b := append(buf[:0], kernel...)
+	b = append(b, 0) // kernel-name/config domain separator
+	sum := sha256.Sum256(cfg.AppendCanonical(b))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }

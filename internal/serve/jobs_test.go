@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gem5aladdin/internal/dse"
 	"gem5aladdin/internal/machsuite"
 	"gem5aladdin/internal/report"
 	"gem5aladdin/internal/serve"
@@ -463,6 +464,52 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 		!reflect.DeepEqual(respA.Pareto, respB.Pareto) ||
 		!reflect.DeepEqual(respA.EDPOptimal, respB.EDPOptimal) {
 		t.Fatalf("warm-start records diverge from the original run")
+	}
+}
+
+// TestOutcomelessRecordResimulates seeds one point of a grid with a stored
+// record holding neither a result nor an abort — a schema-1 JSON record and
+// an empty binary one. Each must read as a miss: the job over the grid
+// completes with no failure, the point simulates, and a sweep counts no
+// aborted point. Replaying such a record as an outcome used to crash the
+// server in the job streamer.
+func TestOutcomelessRecordResimulates(t *testing.T) {
+	empty, err := dse.EncodePoint(&dse.CachedPoint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string][]byte{"json": []byte(`{"schema":1}`), "binary": empty} {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			req := quickReq()
+			cfgs, err := req.Configs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(dse.PointKey(req.Kernel, cfgs[0]), rec); err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, serve.Options{Workers: 2, Store: st})
+
+			id := submitJob(t, ts.URL, req)
+			if got := waitJob(t, ts.URL, id); got.State != "completed" || got.Failed != 0 || got.Completed != len(cfgs) {
+				t.Fatalf("job over the seeded grid: %+v", got)
+			}
+			if sim := s.Snapshot().PointsSimulated; sim != uint64(len(cfgs)) {
+				t.Fatalf("simulated %d points, want %d (the seeded one included)", sim, len(cfgs))
+			}
+			code, body := postSweep(t, ts.URL, req)
+			if code != http.StatusOK {
+				t.Fatalf("sweep: %d: %s", code, body)
+			}
+			if resp := decodeSweep(t, body); resp.AbortedPoints != 0 || resp.EvaluatedPoints != len(cfgs) {
+				t.Fatalf("sweep over the seeded grid: %d aborted, %d evaluated", resp.AbortedPoints, resp.EvaluatedPoints)
+			}
+		})
 	}
 }
 

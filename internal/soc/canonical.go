@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 )
 
 // AppendCanonical appends a deterministic, self-describing byte encoding of
@@ -23,17 +24,20 @@ import (
 //   - the Obs attachment is excluded: observers change what is recorded,
 //     never what is simulated.
 //
-// The walk is reflection-based and panics on a field kind it does not know
-// how to canonicalize (func, chan, map, slice), so adding a non-canonical
-// field to Config is caught by the canonical-coverage test rather than
-// silently hashed as equal.
+// The walk follows Config's Plan and panics on a field kind it does not
+// know how to canonicalize (string, slice; a func, chan or map field
+// already fails when the plan is built), so adding a non-canonical field to
+// Config is caught by the canonical-coverage test rather than silently
+// hashed as equal.
 func (c Config) AppendCanonical(b []byte) []byte {
 	b = append(b, "soc.Config/v1"...)
-	return appendCanonicalValue(b, reflect.ValueOf(c))
+	return appendCanonicalValue(b, configPlan, reflect.ValueOf(&c).Elem())
 }
 
-func appendCanonicalValue(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
+var configPlan = PlanOf(reflect.TypeOf(Config{}))
+
+func appendCanonicalValue(b []byte, p *Plan, v reflect.Value) []byte {
+	switch p.Kind {
 	case reflect.Bool:
 		if v.Bool() {
 			return append(b, 1)
@@ -51,28 +55,80 @@ func appendCanonicalValue(b []byte, v reflect.Value) []byte {
 		if v.IsNil() {
 			return append(b, 0)
 		}
-		return appendCanonicalValue(append(b, 1), v.Elem())
+		return appendCanonicalValue(append(b, 1), p.Elem, v.Elem())
 	case reflect.Array:
-		b = binary.BigEndian.AppendUint64(b, uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			b = appendCanonicalValue(b, v.Index(i))
+		b = binary.BigEndian.AppendUint64(b, uint64(p.Len))
+		for i := 0; i < p.Len; i++ {
+			b = appendCanonicalValue(b, p.Elem, v.Index(i))
 		}
 		return b
 	case reflect.Struct:
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.Name == "Obs" {
-				continue // observation is not part of the design point
-			}
-			b = append(b, f.Name...)
-			b = append(b, '=')
-			b = appendCanonicalValue(b, v.Field(i))
+		for _, f := range p.Fields {
+			b = append(b, f.Prefix...)
+			b = appendCanonicalValue(b, f.Plan, v.Field(f.Index))
 			b = append(b, ';')
 		}
 		return b
 	default:
-		panic(fmt.Sprintf("soc: cannot canonicalize %s field of kind %s",
-			v.Type(), v.Kind()))
+		panic(fmt.Sprintf("soc: cannot canonicalize %s field of kind %s", p.Type, p.Kind))
 	}
+}
+
+// A Plan is the reflection walk over one type, computed once per type and
+// shared by every walker that must agree on it: the canonical encoding above
+// and the durable point record in internal/dse. It fixes which struct
+// fields are visited, in what order, and under what names.
+type Plan struct {
+	Type reflect.Type
+	Kind reflect.Kind
+	// Fields lists a struct's walked fields in declaration order: every
+	// field except one named Obs (observation is not part of the design
+	// point, and holds live callbacks).
+	Fields []PlanField
+	// Elem is the element plan of a pointer, slice or array.
+	Elem *Plan
+	// Len is an array's length.
+	Len int
+}
+
+// A PlanField is one walked struct field.
+type PlanField struct {
+	Index  int    // the argument to reflect.Value.Field
+	Name   string // the field name
+	Prefix string // Name + "=", the field's tag in the canonical encoding
+	*Plan
+}
+
+var plans sync.Map // reflect.Type -> *Plan
+
+// PlanOf returns the walk plan of t, building it on first use. It panics on
+// a kind no walk can encode (map, interface, func, chan, complex, uintptr,
+// unsafe pointer), so a package that builds its plans at start-up fails
+// there rather than at the first value it encodes.
+func PlanOf(t reflect.Type) *Plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*Plan)
+	}
+	p := &Plan{Type: t, Kind: t.Kind()}
+	switch p.Kind {
+	case reflect.Bool, reflect.String, reflect.Float32, reflect.Float64,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	case reflect.Pointer, reflect.Slice:
+		p.Elem = PlanOf(t.Elem())
+	case reflect.Array:
+		p.Elem, p.Len = PlanOf(t.Elem()), t.Len()
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.Name == "Obs" {
+				continue
+			}
+			p.Fields = append(p.Fields, PlanField{Index: i, Name: f.Name, Prefix: f.Name + "=", Plan: PlanOf(f.Type)})
+		}
+	default:
+		panic(fmt.Sprintf("soc: cannot walk %s of kind %s", t, p.Kind))
+	}
+	stored, _ := plans.LoadOrStore(t, p)
+	return stored.(*Plan)
 }
