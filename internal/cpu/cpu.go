@@ -146,6 +146,6 @@ func (g *TrafficGen) step() {
 	}
 	g.issued++
 	g.addr += uint64(g.Bytes)
-	g.bus.Access(g.master, g.addr, g.Bytes, g.Write, g.doneFn)
+	g.bus.Submit(bus.Txn{Master: g.master, Addr: g.addr, Bytes: g.Bytes, Write: g.Write, Done: g.doneFn})
 	g.eng.AfterEvent(g.Period, g.stepEv)
 }

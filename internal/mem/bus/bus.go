@@ -1,32 +1,11 @@
-// Package bus models the SoC system interconnect: a split-transaction bus
-// with a configurable data width (the paper sweeps 32- and 64-bit widths to
-// modulate accelerator-visible bandwidth), round-robin arbitration between
-// masters, and per-transaction occupancy accounting.
-//
-// A transaction occupies the bus for one arbitration/address cycle plus
-// ceil(bytes/width) data cycles. Downstream memory latency (DRAM, or a
-// remote cache supplying data) does not hold the bus: the target is handed
-// the request when the address phase completes and the caller's completion
-// callback fires when the target responds. This is what lets independent
-// transfers pipeline at full bus bandwidth, which the DMA and cache-fill
-// experiments depend on.
 package bus
 
 import (
 	"fmt"
 	"strings"
 
-	"gem5aladdin/internal/fault"
-	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
 )
-
-// Target is the memory-side endpoint of the bus (typically the DRAM
-// controller). Access is called when a transaction wins arbitration; done
-// must be invoked when the data is ready (reads) or accepted (writes).
-type Target interface {
-	Access(addr uint64, bytes uint32, write bool, done func())
-}
 
 // Config describes a bus instance.
 type Config struct {
@@ -34,66 +13,10 @@ type Config struct {
 	Clock     sim.Clock // bus clock domain
 }
 
-// WidthBytes returns the per-cycle data width in bytes.
-func (c Config) WidthBytes() uint32 { return uint32(c.WidthBits / 8) }
-
-// Stats aggregates bus activity.
-type Stats struct {
-	Transactions uint64
-	BytesMoved   uint64
-	BusyTicks    sim.Tick // total ticks the data path was occupied
-	WaitTicks    sim.Tick // total arbitration queuing delay across transactions
-}
-
 type request struct {
-	addr   uint64
-	bytes  uint32
-	write  bool
-	issued sim.Tick
-	master int
-	target Target
-	done   func()
+	txn
 	// dataPhase marks a read response ready to move over the bus.
 	dataPhase bool
-	// progress, when set, fires during the read data phase every
-	// progressGran bytes with the cumulative byte count delivered so far.
-	progress     func(bytesDone uint32)
-	progressGran uint32
-	// attempts counts address-phase NACKs this transaction has absorbed
-	// (fault injection); past the retry limit the transaction is dropped.
-	attempts int
-}
-
-// fifo is a request queue that recycles its backing array: pops advance a
-// head index instead of reslicing (which would strand capacity in front of
-// the slice and force every push to reallocate), and pushes compact the
-// live region back to the front before growing.
-type fifo struct {
-	buf  []request
-	head int
-}
-
-func (f *fifo) len() int { return len(f.buf) - f.head }
-
-func (f *fifo) push(r request) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:]) // drop callback references in the moved-from slots
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	f.buf = append(f.buf, r)
-}
-
-func (f *fifo) pop() request {
-	r := f.buf[f.head]
-	f.buf[f.head] = request{} // release callbacks left in spare capacity
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return r
 }
 
 // Continuation kinds for the release event: what to do with the released
@@ -128,22 +51,25 @@ func (p *pendingRead) complete() {
 	b.arbitrate()
 }
 
-// Bus is a round-robin arbitrated split-transaction interconnect.
+// Bus is a split-transaction interconnect with a configurable data width
+// (the paper sweeps 32- and 64-bit widths to modulate accelerator-visible
+// bandwidth) and round-robin arbitration between masters.
+//
+// A transaction occupies the bus for one arbitration/address cycle plus
+// ceil(bytes/width) data cycles. Downstream memory latency (DRAM, or a
+// remote cache supplying data) does not hold the bus: the target is handed
+// the request when the address phase completes and the caller's completion
+// callback fires when the target responds. This is what lets independent
+// transfers pipeline at full bus bandwidth, which the DMA and cache-fill
+// experiments depend on. An injected NACK refuses a fresh transaction at
+// its address phase, which still holds the bus for that one cycle.
 type Bus struct {
-	cfg    Config
-	eng    *sim.Engine
-	target Target
+	port
 
-	queues    []fifo // per-master FIFO
-	responses fifo   // read responses awaiting their data phase
-	rrNext    int    // next master to consider
-	granted   bool   // a transaction currently holds the bus
-	stats     Stats
-	probe     *obs.Probe
-	inj       *fault.Injector
-	// backoffs counts transactions sitting out a post-NACK backoff delay;
-	// they are in flight but in no queue, so the watchdog must see them.
-	backoffs int
+	queues    []fifo[request] // per-master FIFO
+	responses fifo[request]   // read responses awaiting their data phase
+	rrNext    int             // next master to consider
+	granted   bool            // a transaction currently holds the bus
 
 	// releaseEv fires when the granted transaction's occupancy elapses.
 	// Only one transaction holds the bus at a time, so a single pre-bound
@@ -158,13 +84,7 @@ type Bus struct {
 
 // New creates a bus attached to eng, delivering transactions to target.
 func New(eng *sim.Engine, cfg Config, target Target) *Bus {
-	if cfg.WidthBits%8 != 0 || cfg.WidthBits <= 0 {
-		panic(fmt.Sprintf("bus: invalid width %d bits", cfg.WidthBits))
-	}
-	if cfg.Clock.Period == 0 {
-		panic("bus: zero clock period")
-	}
-	b := &Bus{cfg: cfg, eng: eng, target: target}
+	b := &Bus{port: newPort("bus", eng, cfg.WidthBits, cfg.Clock, target)}
 	b.releaseEv = sim.NewEvent(b.release)
 	return b
 }
@@ -179,11 +99,11 @@ func (b *Bus) release() {
 	b.relReq = request{}
 	switch kind {
 	case relDone:
-		req.done()
+		req.Done()
 	case relWrite:
-		req.target.Access(req.addr, req.bytes, true, req.done)
+		req.Target.Access(req.Addr, req.Bytes, true, req.Done)
 	case relReadAddr:
-		req.target.Access(req.addr, req.bytes, false, b.pendingFor(req))
+		req.Target.Access(req.Addr, req.Bytes, false, b.pendingFor(req))
 	case relFunc:
 		then := b.afterRelease
 		b.afterRelease = nil
@@ -210,24 +130,9 @@ func (b *Bus) pendingFor(req request) func() {
 
 // RegisterMaster allocates an arbitration slot and returns its id.
 func (b *Bus) RegisterMaster() int {
-	b.queues = append(b.queues, fifo{})
-	return len(b.queues) - 1
+	b.queues = append(b.queues, fifo[request]{})
+	return b.register()
 }
-
-// Stats returns a copy of the accumulated counters.
-func (b *Bus) Stats() Stats { return b.stats }
-
-// AttachProbe wires an observability probe; the bus fires one span per
-// busy window (address phase, write, read data phase), with the master id
-// and payload size attached.
-func (b *Bus) AttachProbe(p *obs.Probe) { b.probe = p }
-
-// SetFaults attaches a fault injector (nil disables injection). With an
-// injector, each non-response grant may be NACKed at its address phase and
-// re-queued after exponential backoff, up to the injector's retry limit;
-// past the limit the transaction is dropped (its done callback never fires),
-// which the no-progress watchdog then reports.
-func (b *Bus) SetFaults(inj *fault.Injector) { b.inj = inj }
 
 // InFlight counts transactions the bus is still holding: queued, awaiting a
 // data phase, in a backoff delay, or currently granted. It feeds the
@@ -253,100 +158,25 @@ func (b *Bus) DumpInFlight() string {
 			continue
 		}
 		fmt.Fprintf(&s, "\nmaster%d queue:", m)
-		for _, r := range q.buf[q.head:] {
-			kind := "read"
-			if r.write {
-				kind = "write"
-			}
-			fmt.Fprintf(&s, " %s@%#x(%dB,issued %v)", kind, r.addr, r.bytes, r.issued)
+		for _, r := range q.items() {
+			fmt.Fprintf(&s, " %s@%#x(%dB,issued %v)", r.kind(), r.Addr, r.Bytes, r.issued)
 		}
 	}
 	return s.String()
 }
 
-// RegisterStats registers the bus counters under prefix.
-func (b *Bus) RegisterStats(reg *obs.Registry, prefix string) {
-	reg.CounterFunc(prefix+".transactions", "bus transactions granted",
-		func() uint64 { return b.stats.Transactions })
-	reg.CounterFunc(prefix+".bytes_moved", "bytes moved over the data path",
-		func() uint64 { return b.stats.BytesMoved })
-	reg.CounterFunc(prefix+".busy_ticks", "ticks the data path was occupied",
-		func() uint64 { return uint64(b.stats.BusyTicks) })
-	reg.CounterFunc(prefix+".wait_ticks", "summed arbitration queuing delay",
-		func() uint64 { return uint64(b.stats.WaitTicks) })
-	reg.Formula(prefix+".avg_wait_ns", "mean arbitration delay per transaction",
-		func() float64 {
-			if b.stats.Transactions == 0 {
-				return 0
-			}
-			return sim.Tick(b.stats.WaitTicks).Nanos() / float64(b.stats.Transactions)
-		})
-}
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // OccupancyTicks reports how long a transaction of n bytes holds the bus.
 func (b *Bus) OccupancyTicks(n uint32) sim.Tick {
-	cycles := 1 + uint64((n+b.cfg.WidthBytes()-1)/b.cfg.WidthBytes())
-	return b.cfg.Clock.Cycles(cycles)
+	return b.clock.Cycles(1 + b.beats(n))
 }
 
-// Access enqueues a transaction from the given master to the default
-// memory-side target. done fires when the transaction fully completes (data
-// returned for reads, accepted for writes). Zero-byte accesses complete
-// immediately without bus traffic.
-func (b *Bus) Access(master int, addr uint64, bytes uint32, write bool, done func()) {
-	b.AccessVia(master, addr, bytes, write, b.target, done)
-}
-
-// AccessVia is Access with an explicit responder. Snooping caches use it to
-// route a fill to a peer cache (cache-to-cache transfer) instead of DRAM
-// while still paying bus arbitration and occupancy.
-func (b *Bus) AccessVia(master int, addr uint64, bytes uint32, write bool, target Target, done func()) {
-	if master < 0 || master >= len(b.queues) {
-		panic(fmt.Sprintf("bus: unknown master %d", master))
-	}
-	if bytes == 0 {
-		done()
+// Submit enqueues t on its master's queue.
+func (b *Bus) Submit(t Txn) {
+	tx, ok := b.admit(t)
+	if !ok {
 		return
 	}
-	b.queues[master].push(request{
-		addr: addr, bytes: bytes, write: write, issued: b.eng.Now(),
-		master: master, target: target, done: done,
-	})
-	if !b.granted {
-		b.arbitrate()
-	}
-}
-
-// ReadStream is a read whose data-phase delivery is observable: progress
-// fires with the cumulative bytes delivered, every gran bytes, as the beats
-// cross the bus. The DMA engine uses it to set full/empty bits at CPU
-// cache-line granularity while a bulk transfer is still in flight
-// (DMA-triggered computation, Sec IV-B2).
-func (b *Bus) ReadStream(master int, addr uint64, bytes uint32, gran uint32, progress func(uint32), done func()) {
-	b.ReadStreamVia(master, addr, bytes, gran, b.target, progress, done)
-}
-
-// ReadStreamVia is ReadStream with an explicit responder (a coherent DMA
-// engine sources dirty data from the CPU cache rather than DRAM).
-func (b *Bus) ReadStreamVia(master int, addr uint64, bytes uint32, gran uint32, target Target, progress func(uint32), done func()) {
-	if master < 0 || master >= len(b.queues) {
-		panic(fmt.Sprintf("bus: unknown master %d", master))
-	}
-	if gran == 0 {
-		panic("bus: zero stream granularity")
-	}
-	if bytes == 0 {
-		done()
-		return
-	}
-	b.queues[master].push(request{
-		addr: addr, bytes: bytes, issued: b.eng.Now(),
-		master: master, target: target, done: done,
-		progress: progress, progressGran: gran,
-	})
+	b.queues[t.Master].push(request{txn: tx})
 	if !b.granted {
 		b.arbitrate()
 	}
@@ -354,7 +184,8 @@ func (b *Bus) ReadStreamVia(master int, addr uint64, bytes uint32, gran uint32, 
 
 // arbitrate grants the bus to the next waiter. Read responses have priority
 // over new requests (as on AXI-class interconnects, the response channel
-// drains first); fresh requests are served round-robin across masters.
+// drains first) and drain in completion order; fresh requests are served
+// round-robin across masters.
 func (b *Bus) arbitrate() {
 	if b.granted {
 		return
@@ -378,51 +209,39 @@ func (b *Bus) arbitrate() {
 
 func (b *Bus) grant(req request) {
 	b.granted = true
-
-	// Fault injection: the address phase of a fresh transaction may be
-	// NACKed. Read responses are not (the address phase already succeeded).
-	if !req.dataPhase && b.inj.BusNack(b.eng.Now(), req.addr, req.attempts+1) {
-		req.attempts++
-		if req.attempts > b.inj.BusRetryLimit() {
-			// Retries exhausted: the transaction is dropped. Its done
-			// callback never fires; the requester's watchdog entry makes
-			// the loss diagnosable instead of a silent hang.
-			b.inj.CountBusDrop(b.eng.Now(), req.addr, req.attempts)
-			b.releasePhase(req, b.cfg.Clock.Cycles(1), "bus-drop", relNone, nil)
+	// Read responses are never NACKed: their address phase already
+	// succeeded.
+	if !req.dataPhase {
+		if v := b.nack(&req.txn); v != proceed {
+			b.refuse(req, v)
 			return
 		}
-		// The failed address phase still occupied a cycle; the master sits
-		// out an exponential backoff and re-arbitrates from the back of
-		// its queue.
-		retry := req
-		backoff := b.inj.BusBackoff(req.attempts)
-		b.backoffs++
-		b.releasePhase(req, b.cfg.Clock.Cycles(1), "bus-nack", relFunc, func() {
-			b.eng.After(backoff, func() {
-				b.backoffs--
-				b.inj.CountBusRetry()
-				b.queues[retry.master].push(retry)
-				if !b.granted {
-					b.arbitrate()
-				}
-			})
-		})
+	}
+	b.dispatch(req)
+}
+
+// refuse spends a NACKed address phase's bus cycle, after which the master
+// sits out its backoff and re-arbitrates from the back of its queue, or the
+// transaction is dropped.
+func (b *Bus) refuse(req request, verdict int) {
+	if verdict == drop {
+		b.releasePhase(req, b.clock.Cycles(1), "bus-drop", relNone, nil)
 		return
 	}
-
-	b.dispatch(req)
+	b.releasePhase(req, b.clock.Cycles(1), "bus-nack", relFunc, func() {
+		b.backoff(req.attempts, func() {
+			b.queues[req.Master].push(req)
+			if !b.granted {
+				b.arbitrate()
+			}
+		})
+	})
 }
 
 // releasePhase accounts one bus occupancy window and schedules the release
 // with its continuation kind.
 func (b *Bus) releasePhase(req request, after sim.Tick, phase string, kind int, then func()) {
-	b.stats.BusyTicks += after
-	if b.probe.Enabled() {
-		start := uint64(b.eng.Now())
-		b.probe.Fire(obs.Event{Name: phase, Start: start,
-			End: start + uint64(after), Lane: int32(req.master),
-			Bytes: uint64(req.bytes)})
-	}
+	b.occupy(phase, b.eng.Now(), after, req.Master, req.Bytes)
 	b.relKind = kind
 	b.relReq = req
 	b.afterRelease = then
@@ -431,57 +250,26 @@ func (b *Bus) releasePhase(req request, after sim.Tick, phase string, kind int, 
 
 // dispatch moves a granted transaction through its bus phases.
 func (b *Bus) dispatch(req request) {
-	dataTicks := b.cfg.Clock.Cycles(uint64((req.bytes + b.cfg.WidthBytes() - 1) / b.cfg.WidthBytes()))
+	dataTicks := b.clock.Cycles(b.beats(req.Bytes))
 	switch {
 	case req.dataPhase:
 		// Read response: data beats only.
-		if req.progress != nil {
-			b.scheduleProgress(req, dataTicks)
+		if req.Progress != nil {
+			b.spread(&req.txn, 0, req.Bytes, dataTicks)
 		}
 		b.releasePhase(req, dataTicks, "read-data", relDone, nil)
 
-	case req.write:
+	case req.Write:
 		// Write: address + data move together; the target accepts the
 		// data afterwards (posted write). done fires when accepted.
-		b.stats.Transactions++
-		b.stats.BytesMoved += uint64(req.bytes)
-		b.stats.WaitTicks += b.eng.Now() - req.issued
-		b.releasePhase(req, b.cfg.Clock.Cycles(1)+dataTicks, "write", relWrite, nil)
+		b.count(&req.txn)
+		b.releasePhase(req, b.clock.Cycles(1)+dataTicks, "write", relWrite, nil)
 
 	default:
 		// Read: address phase holds the bus one cycle, then the bus is
 		// free while the target services the request; the response
 		// re-arbitrates for its data phase.
-		b.stats.Transactions++
-		b.stats.BytesMoved += uint64(req.bytes)
-		b.stats.WaitTicks += b.eng.Now() - req.issued
-		b.releasePhase(req, b.cfg.Clock.Cycles(1), "read-addr", relReadAddr, nil)
+		b.count(&req.txn)
+		b.releasePhase(req, b.clock.Cycles(1), "read-addr", relReadAddr, nil)
 	}
-}
-
-// scheduleProgress spreads arrival notifications across a read data phase,
-// proportional to the bytes delivered.
-func (b *Bus) scheduleProgress(req request, dataTicks sim.Tick) {
-	total := req.bytes
-	gran := req.progressGran
-	for cum := gran; ; cum += gran {
-		if cum > total {
-			cum = total
-		}
-		frac := float64(cum) / float64(total)
-		at := sim.Tick(float64(dataTicks)*frac + 0.5)
-		cumCopy := cum
-		b.eng.After(at, func() { req.progress(cumCopy) })
-		if cum == total {
-			break
-		}
-	}
-}
-
-// Utilization reports the fraction of elapsed time the bus was busy.
-func (b *Bus) Utilization(elapsed sim.Tick) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(b.stats.BusyTicks) / float64(elapsed)
 }

@@ -50,7 +50,7 @@ func TestSingleTransaction(t *testing.T) {
 	eng, b, tgt := newBus(t, 32, 5*sim.Nanosecond)
 	m := b.RegisterMaster()
 	var doneAt sim.Tick
-	b.Access(m, 0x1000, 64, false, func() { doneAt = eng.Now() })
+	b.Submit(Txn{Master: m, Addr: 0x1000, Bytes: 64, Done: func() { doneAt = eng.Now() }})
 	eng.Run()
 	if doneAt == 0 {
 		t.Fatal("transaction never completed")
@@ -68,7 +68,7 @@ func TestSlowTargetDelaysCompletion(t *testing.T) {
 	eng, b, _ := newBus(t, 32, 500*sim.Nanosecond)
 	m := b.RegisterMaster()
 	var doneAt sim.Tick
-	b.Access(m, 0, 4, false, func() { doneAt = eng.Now() })
+	b.Submit(Txn{Master: m, Bytes: 4, Done: func() { doneAt = eng.Now() }})
 	eng.Run()
 	// Addr phase 10ns + target 500ns + data phase 10ns = 520ns.
 	if doneAt != 520*sim.Nanosecond {
@@ -80,7 +80,7 @@ func TestZeroBytesImmediate(t *testing.T) {
 	eng, b, tgt := newBus(t, 32, 0)
 	m := b.RegisterMaster()
 	called := false
-	b.Access(m, 0, 0, false, func() { called = true })
+	b.Submit(Txn{Master: m, Bytes: 0, Done: func() { called = true }})
 	if !called {
 		t.Fatal("zero-byte access should complete synchronously")
 	}
@@ -99,7 +99,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	var last sim.Tick
 	n := 10
 	for i := 0; i < n; i++ {
-		b.Access(m, uint64(i*64), 64, true, func() { last = eng.Now() })
+		b.Submit(Txn{Master: m, Addr: uint64(i * 64), Bytes: 64, Write: true, Done: func() { last = eng.Now() }})
 	}
 	eng.Run()
 	// Each 64B transaction holds the bus 170ns; 10 of them serialize.
@@ -121,9 +121,9 @@ func TestRoundRobinFairness(t *testing.T) {
 	m1 := b.RegisterMaster()
 	// Master 0 floods; master 1 submits one request at the same instant.
 	for i := 0; i < 5; i++ {
-		b.Access(m0, uint64(0xA000+i), 4, false, func() {})
+		b.Submit(Txn{Master: m0, Addr: uint64(0xA000 + i), Bytes: 4, Done: func() {}})
 	}
-	b.Access(m1, 0xB000, 4, false, func() {})
+	b.Submit(Txn{Master: m1, Addr: 0xB000, Bytes: 4, Done: func() {}})
 	eng.Run()
 	// Master 1's single request must be served second, not last.
 	if len(tgt.log) != 6 {
@@ -137,8 +137,8 @@ func TestRoundRobinFairness(t *testing.T) {
 func TestWaitTicksAccumulate(t *testing.T) {
 	eng, b, _ := newBus(t, 32, 0)
 	m := b.RegisterMaster()
-	b.Access(m, 0, 64, false, func() {})
-	b.Access(m, 64, 64, false, func() {})
+	b.Submit(Txn{Master: m, Bytes: 64, Done: func() {}})
+	b.Submit(Txn{Master: m, Addr: 64, Bytes: 64, Done: func() {}})
 	eng.Run()
 	st := b.Stats()
 	// The second read's address phase waits behind the first's (10ns);
@@ -149,19 +149,6 @@ func TestWaitTicksAccumulate(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	eng, b, _ := newBus(t, 32, 0)
-	m := b.RegisterMaster()
-	b.Access(m, 0, 64, false, func() {})
-	eng.Run()
-	if got := b.Utilization(340 * sim.Nanosecond); got != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-	if b.Utilization(0) != 0 {
-		t.Fatal("zero elapsed should report 0 utilization")
-	}
-}
-
 func TestUnknownMasterPanics(t *testing.T) {
 	_, b, _ := newBus(t, 32, 0)
 	defer func() {
@@ -169,7 +156,7 @@ func TestUnknownMasterPanics(t *testing.T) {
 			t.Fatal("unknown master did not panic")
 		}
 	}()
-	b.Access(3, 0, 4, false, func() {})
+	b.Submit(Txn{Master: 3, Bytes: 4, Done: func() {}})
 }
 
 func TestInvalidWidthPanics(t *testing.T) {
@@ -187,8 +174,9 @@ func TestReadStreamProgress(t *testing.T) {
 	m := b.RegisterMaster()
 	var marks []uint32
 	var doneAt sim.Tick
-	b.ReadStream(m, 0, 256, 64, func(cum uint32) { marks = append(marks, cum) },
-		func() { doneAt = eng.Now() })
+	b.Submit(Txn{Master: m, Bytes: 256, Gran: 64,
+		Progress: func(cum uint32) { marks = append(marks, cum) },
+		Done:     func() { doneAt = eng.Now() }})
 	eng.Run()
 	want := []uint32{64, 128, 192, 256}
 	if len(marks) != len(want) {
@@ -209,7 +197,8 @@ func TestReadStreamViaCustomTarget(t *testing.T) {
 	slow := &fakeTarget{eng: eng, latency: 300 * sim.Nanosecond}
 	m := b.RegisterMaster()
 	done := false
-	b.ReadStreamVia(m, 0x40, 64, 32, slow, func(uint32) {}, func() { done = true })
+	b.Submit(Txn{Master: m, Addr: 0x40, Bytes: 64, Gran: 32, Target: slow,
+		Progress: func(uint32) {}, Done: func() { done = true }})
 	eng.Run()
 	if !done {
 		t.Fatal("stream never completed")
@@ -230,7 +219,7 @@ func TestReadStreamZeroGranPanics(t *testing.T) {
 			t.Fatal("zero granularity did not panic")
 		}
 	}()
-	b.ReadStream(m, 0, 64, 0, nil, func() {})
+	b.Submit(Txn{Master: m, Bytes: 64, Gran: 0, Progress: func(uint32) {}, Done: func() {}})
 }
 
 func TestResponsePriorityOverNewRequests(t *testing.T) {
@@ -239,12 +228,12 @@ func TestResponsePriorityOverNewRequests(t *testing.T) {
 	eng, b, _ := newBus(t, 32, 100*sim.Nanosecond)
 	m := b.RegisterMaster()
 	var readDone sim.Tick
-	b.Access(m, 0, 4, false, func() { readDone = eng.Now() })
+	b.Submit(Txn{Master: m, Bytes: 4, Done: func() { readDone = eng.Now() }})
 	// Writes queued while the read's target is busy.
 	var lastWrite sim.Tick
 	eng.Schedule(50*sim.Nanosecond, func() {
 		for i := 0; i < 5; i++ {
-			b.Access(m, uint64(0x1000+i*64), 64, true, func() { lastWrite = eng.Now() })
+			b.Submit(Txn{Master: m, Addr: uint64(0x1000 + i*64), Bytes: 64, Write: true, Done: func() { lastWrite = eng.Now() }})
 		}
 	})
 	eng.Run()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gem5aladdin/internal/fault"
-	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
 )
 
@@ -26,65 +24,21 @@ type CrossbarConfig struct {
 	BurstBeats int
 }
 
-func (c CrossbarConfig) widthBytes() uint32 { return uint32(c.WidthBits / 8) }
-
-// xreq is a crossbar transaction. Unlike the bus's request it carries a
-// burst cursor (sent) because a transfer releases its route between bursts.
+// xreq is a crossbar transaction. It carries a burst cursor (sent) because
+// a transfer releases its route between bursts.
 type xreq struct {
-	addr   uint64
-	bytes  uint32 // total payload
-	sent   uint32 // bytes already moved across the fabric
-	write  bool
-	issued sim.Tick
-	master int
-	slave  int
-	target Target
-	done   func()
+	txn
+	sent  uint32 // bytes already moved across the fabric
+	slave int
 	// dataPhase marks a read response draining data beats back to the
 	// master.
-	dataPhase    bool
-	progress     func(uint32)
-	progressGran uint32
-	attempts     int
-}
-
-// xfifo is the head-indexed compacting queue for *xreq (same recycling
-// discipline as the bus's fifo: pops advance a head, pushes compact before
-// growing, vacated slots are nilled so callbacks are not retained).
-type xfifo struct {
-	buf  []*xreq
-	head int
-}
-
-func (f *xfifo) len() int { return len(f.buf) - f.head }
-
-func (f *xfifo) push(r *xreq) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	f.buf = append(f.buf, r)
-}
-
-func (f *xfifo) peek() *xreq { return f.buf[f.head] }
-
-func (f *xfifo) pop() *xreq {
-	r := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return r
+	dataPhase bool
 }
 
 type xbarMaster struct {
-	reqs  xfifo // fresh requests, in order; a multi-burst head stays put
-	resps xfifo // read responses draining back; head stays put mid-transfer
-	busy  bool  // master channel currently granted to a route
+	reqs  fifo[*xreq] // fresh requests, in order; the head stays put while granted
+	resps fifo[*xreq] // read responses draining back; the head stays put while granted
+	busy  bool        // master channel currently granted to a route
 }
 
 type xbarSlave struct {
@@ -97,31 +51,21 @@ type xbarSlave struct {
 // routes. A route (master channel + slave port) is held for one burst —
 // an address cycle plus up to BurstBeats data cycles — then re-arbitrates,
 // so long DMA transfers interleave with latency-sensitive cache fills
-// instead of monopolizing the memory side.
+// instead of monopolizing the memory side. An injected NACK refuses a
+// fresh transaction at its first address phase, which still holds the
+// route for that one cycle.
 type Crossbar struct {
-	cfg    CrossbarConfig
-	eng    *sim.Engine
-	target Target
+	port
+	burstBytes uint32 // payload cap of one burst
 
 	masters []xbarMaster
 	slaves  []xbarSlave
-	stats   Stats
-	probe   *obs.Probe
-	inj     *fault.Injector
-
-	granted  int // routes currently held
-	backoffs int // transactions sitting out a post-NACK backoff
 }
 
 // NewCrossbar creates a crossbar attached to eng, delivering transactions
 // to target.
 func NewCrossbar(eng *sim.Engine, cfg CrossbarConfig, target Target) *Crossbar {
-	if cfg.WidthBits%8 != 0 || cfg.WidthBits <= 0 {
-		panic(fmt.Sprintf("crossbar: invalid width %d bits", cfg.WidthBits))
-	}
-	if cfg.Clock.Period == 0 {
-		panic("crossbar: zero clock period")
-	}
+	p := newPort("crossbar", eng, cfg.WidthBits, cfg.Clock, target)
 	if cfg.Slaves == 0 {
 		cfg.Slaves = 4
 	}
@@ -135,8 +79,9 @@ func NewCrossbar(eng *sim.Engine, cfg CrossbarConfig, target Target) *Crossbar {
 		panic(fmt.Sprintf("crossbar: invalid burst length %d", cfg.BurstBeats))
 	}
 	return &Crossbar{
-		cfg: cfg, eng: eng, target: target,
-		slaves: make([]xbarSlave, cfg.Slaves),
+		port:       p,
+		burstBytes: uint32(cfg.BurstBeats) * p.width,
+		slaves:     make([]xbarSlave, cfg.Slaves),
 	}
 }
 
@@ -149,30 +94,14 @@ func (x *Crossbar) slaveOf(addr uint64) int {
 // RegisterMaster allocates a master channel pair and returns its id.
 func (x *Crossbar) RegisterMaster() int {
 	x.masters = append(x.masters, xbarMaster{})
-	return len(x.masters) - 1
+	return x.register()
 }
 
-// Stats returns a copy of the accumulated counters. BusyTicks sums
-// occupancy across all slave ports, so it can exceed elapsed time when
-// routes overlap; Utilization normalizes by the port count.
-func (x *Crossbar) Stats() Stats { return x.stats }
-
-// AttachProbe wires an observability probe; the crossbar fires one span per
-// burst window with the master id and burst payload attached.
-func (x *Crossbar) AttachProbe(p *obs.Probe) { x.probe = p }
-
-// SetFaults attaches a fault injector (nil disables injection). Injection
-// applies at a fresh transaction's first address phase, mirroring the bus.
-func (x *Crossbar) SetFaults(inj *fault.Injector) { x.inj = inj }
-
-// RegisterStats registers the crossbar counters under prefix.
-func (x *Crossbar) RegisterStats(reg *obs.Registry, prefix string) {
-	registerFabricStats(reg, prefix, func() Stats { return x.stats })
-}
-
-// InFlight counts transactions the crossbar still holds.
+// InFlight counts transactions the crossbar still holds: queued on a
+// channel (a granted one stays at its queue's head until its route
+// releases) or backing off.
 func (x *Crossbar) InFlight() int {
-	n := x.granted + x.backoffs
+	n := x.backoffs
 	for i := range x.masters {
 		n += x.masters[i].reqs.len() + x.masters[i].resps.len()
 	}
@@ -181,71 +110,35 @@ func (x *Crossbar) InFlight() int {
 
 // DumpInFlight renders the queue state for a watchdog diagnostic.
 func (x *Crossbar) DumpInFlight() string {
+	granted := 0
+	for _, sl := range x.slaves {
+		if sl.busy {
+			granted++
+		}
+	}
 	var s strings.Builder
-	fmt.Fprintf(&s, "granted=%d backoffs=%d", x.granted, x.backoffs)
+	fmt.Fprintf(&s, "granted=%d backoffs=%d", granted, x.backoffs)
 	for m := range x.masters {
 		ms := &x.masters[m]
 		if ms.reqs.len() == 0 && ms.resps.len() == 0 {
 			continue
 		}
 		fmt.Fprintf(&s, "\nmaster%d busy=%v reqs=%d resps=%d:", m, ms.busy, ms.reqs.len(), ms.resps.len())
-		for _, r := range ms.reqs.buf[ms.reqs.head:] {
-			kind := "read"
-			if r.write {
-				kind = "write"
-			}
+		for _, r := range ms.reqs.items() {
 			fmt.Fprintf(&s, " %s@%#x(%d/%dB,slave%d,issued %v)",
-				kind, r.addr, r.sent, r.bytes, r.slave, r.issued)
+				r.kind(), r.Addr, r.sent, r.Bytes, r.slave, r.issued)
 		}
 	}
 	return s.String()
 }
 
-// Utilization reports mean per-port busy fraction over elapsed time.
-func (x *Crossbar) Utilization(elapsed sim.Tick) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(x.stats.BusyTicks) / (float64(elapsed) * float64(len(x.slaves)))
-}
-
-// Access enqueues a transaction to the default memory-side target.
-func (x *Crossbar) Access(master int, addr uint64, bytes uint32, write bool, done func()) {
-	x.AccessVia(master, addr, bytes, write, x.target, done)
-}
-
-// AccessVia is Access with an explicit responder.
-func (x *Crossbar) AccessVia(master int, addr uint64, bytes uint32, write bool, target Target, done func()) {
-	x.enqueue(master, addr, bytes, write, target, nil, 0, done)
-}
-
-// ReadStream is a read whose data delivery is observable every gran bytes.
-func (x *Crossbar) ReadStream(master int, addr uint64, bytes uint32, gran uint32, progress func(uint32), done func()) {
-	x.ReadStreamVia(master, addr, bytes, gran, x.target, progress, done)
-}
-
-// ReadStreamVia is ReadStream with an explicit responder.
-func (x *Crossbar) ReadStreamVia(master int, addr uint64, bytes uint32, gran uint32, target Target, progress func(uint32), done func()) {
-	if gran == 0 {
-		panic("crossbar: zero stream granularity")
-	}
-	x.enqueue(master, addr, bytes, false, target, progress, gran, done)
-}
-
-func (x *Crossbar) enqueue(master int, addr uint64, bytes uint32, write bool, target Target, progress func(uint32), gran uint32, done func()) {
-	if master < 0 || master >= len(x.masters) {
-		panic(fmt.Sprintf("crossbar: unknown master %d", master))
-	}
-	if bytes == 0 {
-		done()
+// Submit enqueues t on its master's request channel.
+func (x *Crossbar) Submit(t Txn) {
+	tx, ok := x.admit(t)
+	if !ok {
 		return
 	}
-	r := &xreq{
-		addr: addr, bytes: bytes, write: write, issued: x.eng.Now(),
-		master: master, slave: x.slaveOf(addr), target: target, done: done,
-		progress: progress, progressGran: gran,
-	}
-	x.masters[master].reqs.push(r)
+	x.masters[t.Master].reqs.push(&xreq{txn: tx, slave: x.slaveOf(t.Addr)})
 	x.arbitrate()
 }
 
@@ -279,11 +172,9 @@ func (x *Crossbar) pickFor(s int) *xreq {
 			if ms.busy {
 				continue
 			}
-			var q *xfifo
+			q := &ms.reqs
 			if pass == 0 {
 				q = &ms.resps
-			} else {
-				q = &ms.reqs
 			}
 			if q.len() == 0 || q.peek().slave != s {
 				continue
@@ -296,72 +187,58 @@ func (x *Crossbar) pickFor(s int) *xreq {
 }
 
 // grant routes one burst of r through its master channel and slave port.
+// r stays at the head of its queue until the route releases.
 func (x *Crossbar) grant(r *xreq) {
-	ms := &x.masters[r.master]
-	sl := &x.slaves[r.slave]
-	ms.busy, sl.busy = true, true
-	x.granted++
+	x.masters[r.Master].busy, x.slaves[r.slave].busy = true, true
 
-	// Fault injection at the first address phase of a fresh transaction.
-	if !r.dataPhase && r.sent == 0 && x.inj.BusNack(x.eng.Now(), r.addr, r.attempts+1) {
-		r.attempts++
-		x.popOf(r).pop()
-		if r.attempts > x.inj.BusRetryLimit() {
-			x.inj.CountBusDrop(x.eng.Now(), r.addr, r.attempts)
-			x.releaseRoute(r, x.cfg.Clock.Cycles(1), "xbar-drop", 0, nil)
+	if !r.dataPhase && r.sent == 0 {
+		switch x.nack(&r.txn) {
+		case drop:
+			x.releaseRoute(r, x.clock.Cycles(1), "xbar-drop", 0, func() {
+				x.masters[r.Master].reqs.pop()
+			})
+			return
+		case retry:
+			x.releaseRoute(r, x.clock.Cycles(1), "xbar-nack", 0, func() {
+				x.masters[r.Master].reqs.pop()
+				x.backoff(r.attempts, func() {
+					x.masters[r.Master].reqs.push(r)
+					x.arbitrate()
+				})
+			})
 			return
 		}
-		backoff := x.inj.BusBackoff(r.attempts)
-		x.backoffs++
-		x.releaseRoute(r, x.cfg.Clock.Cycles(1), "xbar-nack", 0, func() {
-			x.eng.After(backoff, func() {
-				x.backoffs--
-				x.inj.CountBusRetry()
-				x.masters[r.master].reqs.push(r)
-				x.arbitrate()
-			})
-		})
-		return
 	}
 
-	wb := x.cfg.widthBytes()
-	burstBytes := uint32(x.cfg.BurstBeats) * wb
-	remaining := r.bytes - r.sent
-	chunk := remaining
-	if chunk > burstBytes {
-		chunk = burstBytes
-	}
-	beats := uint64((chunk + wb - 1) / wb)
+	chunk := min(r.Bytes-r.sent, x.burstBytes)
+	beats := x.beats(chunk)
+	last := r.sent+chunk == r.Bytes
 
 	switch {
 	case r.dataPhase:
 		// Read response burst: data beats only on the response channel.
-		window := x.cfg.Clock.Cycles(beats)
-		if r.progress != nil {
-			x.burstProgress(r, chunk, window)
+		window := x.clock.Cycles(beats)
+		if r.Progress != nil {
+			x.spread(&r.txn, r.sent, chunk, window)
 		}
-		last := r.sent+chunk == r.bytes
 		x.releaseRoute(r, window, "xbar-read-data", chunk, func() {
 			if last {
-				x.masters[r.master].resps.pop()
-				r.done()
+				x.masters[r.Master].resps.pop()
+				r.Done()
 			}
-			// Otherwise the head stays; the next burst re-arbitrates.
 		})
 
-	case r.write:
+	case r.Write:
 		// Write burst: address cycle + data beats travel together.
 		if r.sent == 0 {
-			x.countIssue(r)
+			x.count(&r.txn)
 		}
-		window := x.cfg.Clock.Cycles(1 + beats)
-		last := r.sent+chunk == r.bytes
-		x.releaseRoute(r, window, "xbar-write", chunk, func() {
+		x.releaseRoute(r, x.clock.Cycles(1+beats), "xbar-write", chunk, func() {
 			if last {
-				x.masters[r.master].reqs.pop()
+				x.masters[r.Master].reqs.pop()
 				// Posted write: the target accepts the full payload after
-				// the final burst; done fires on acceptance.
-				r.target.Access(r.addr, r.bytes, true, r.done)
+				// the final burst; Done fires on acceptance.
+				r.Target.Access(r.Addr, r.Bytes, true, r.Done)
 			}
 		})
 
@@ -369,86 +246,29 @@ func (x *Crossbar) grant(r *xreq) {
 		// Read request: a one-cycle address phase opens the transaction;
 		// the route frees while the target services it, and the response
 		// drains in bursts on the response channel.
-		x.countIssue(r)
-		x.masters[r.master].reqs.pop()
-		x.releaseRoute(r, x.cfg.Clock.Cycles(1), "xbar-read-addr", 0, func() {
-			r.target.Access(r.addr, r.bytes, false, func() {
-				resp := r
-				resp.dataPhase = true
-				x.masters[resp.master].resps.push(resp)
+		x.count(&r.txn)
+		x.releaseRoute(r, x.clock.Cycles(1), "xbar-read-addr", 0, func() {
+			x.masters[r.Master].reqs.pop()
+			r.Target.Access(r.Addr, r.Bytes, false, func() {
+				r.dataPhase = true
+				x.masters[r.Master].resps.push(r)
 				x.arbitrate()
 			})
 		})
 	}
 }
 
-func (x *Crossbar) countIssue(r *xreq) {
-	x.stats.Transactions++
-	x.stats.BytesMoved += uint64(r.bytes)
-	x.stats.WaitTicks += x.eng.Now() - r.issued
-}
-
-// popOf returns the queue currently heading r (used by the fault path to
-// remove a NACKed head before requeueing it at the back).
-func (x *Crossbar) popOf(r *xreq) *xfifo {
-	ms := &x.masters[r.master]
-	if ms.resps.len() > 0 && ms.resps.peek() == r {
-		return &ms.resps
-	}
-	return &ms.reqs
-}
-
 // releaseRoute accounts one route occupancy window, then frees the master
 // channel and slave port, advances the burst cursor by sent bytes, runs the
-// continuation, and re-arbitrates.
+// continuation, and re-arbitrates. A transfer with bursts left stays at its
+// queue's head; the continuation pops a finished one.
 func (x *Crossbar) releaseRoute(r *xreq, window sim.Tick, phase string, sent uint32, then func()) {
-	x.stats.BusyTicks += window
-	if x.probe.Enabled() {
-		start := uint64(x.eng.Now())
-		x.probe.Fire(obs.Event{Name: phase, Start: start,
-			End: start + uint64(window), Lane: int32(r.master),
-			Bytes: uint64(sent)})
-	}
+	x.occupy(phase, x.eng.Now(), window, r.Master, sent)
 	x.eng.After(window, func() {
-		x.masters[r.master].busy = false
+		x.masters[r.Master].busy = false
 		x.slaves[r.slave].busy = false
-		x.granted--
 		r.sent += sent
-		if then != nil {
-			then()
-		}
+		then()
 		x.arbitrate()
 	})
 }
-
-// burstProgress spreads arrival notifications across one response burst,
-// honoring the stream granularity against the cumulative byte count.
-func (x *Crossbar) burstProgress(r *xreq, chunk uint32, window sim.Tick) {
-	gran := r.progressGran
-	start := r.sent
-	end := r.sent + chunk
-	// First gran boundary at or beyond the first byte of this burst.
-	cum := ((start / gran) + 1) * gran
-	if end == r.bytes && cum > end {
-		cum = end // final burst always reports the tail
-	}
-	for cum <= end {
-		frac := float64(cum-start) / float64(chunk)
-		at := sim.Tick(float64(window)*frac + 0.5)
-		cumCopy := cum
-		x.eng.After(at, func() { r.progress(cumCopy) })
-		if cum == end {
-			break
-		}
-		cum += gran
-		if cum > end {
-			if end == r.bytes {
-				cum = end
-			} else {
-				break
-			}
-		}
-	}
-}
-
-var _ Fabric = (*Crossbar)(nil)

@@ -1,3 +1,9 @@
+// Package bus models the SoC system interconnect. Three backends share one
+// master-facing contract, Fabric: the split-transaction round-robin bus (the
+// reference, whose timing the figures regression pins), an AXI-like burst
+// crossbar, and a 2D mesh NoC. The DMA engines, caches and CPU traffic
+// generators speak only Fabric; which backend they ride on is a design-space
+// axis (soc.Config.Fabric), not a wiring decision.
 package bus
 
 import (
@@ -6,19 +12,56 @@ import (
 	"gem5aladdin/internal/sim"
 )
 
-// Fabric abstracts the SoC interconnect so alternative topologies (the
-// AXI-like crossbar, the 2D mesh NoC) plug in behind the same master-facing
-// API as the round-robin bus. The DMA engines, caches, and CPU traffic
-// generators speak only this interface; which fabric they ride on is a
-// design-space axis (soc.Config.Fabric), not a wiring decision.
+// Target is a memory-side endpoint of the fabric (typically the DRAM
+// controller). Access is called once routing hands it a transaction; done
+// must be invoked when the data is ready (reads) or accepted (writes).
+type Target interface {
+	Access(addr uint64, bytes uint32, write bool, done func())
+}
+
+// Stats aggregates fabric activity.
+type Stats struct {
+	Transactions uint64
+	BytesMoved   uint64
+	// BusyTicks sums resource occupancy: the bus's data path, every
+	// crossbar slave port, every mesh link. On the crossbar and mesh it can
+	// exceed elapsed time when routes overlap.
+	BusyTicks sim.Tick
+	WaitTicks sim.Tick // total arbitration queuing delay across transactions
+}
+
+// Txn is one fabric transaction.
+type Txn struct {
+	Master int // id from RegisterMaster
+	Addr   uint64
+	Bytes  uint32
+	// Gran and Progress make a read's delivery observable: Progress fires
+	// with the cumulative bytes delivered, every Gran bytes, as the data
+	// reaches the master. The DMA engine sets full/empty bits at CPU
+	// cache-line granularity this way while a bulk transfer is still in
+	// flight (DMA-triggered computation, Sec IV-B2).
+	Gran  uint32
+	Write bool
+	// Target answers the transaction; nil means the fabric's memory-side
+	// target. Snooping caches name a peer cache here (cache-to-cache
+	// transfer), and a coherent DMA engine the CPU cache, while still paying
+	// arbitration and occupancy.
+	Target   Target
+	Progress func(delivered uint32)
+	// Done fires when the transaction completes: data returned for reads,
+	// accepted for writes.
+	Done func()
+}
+
+// Fabric is the interconnect as its masters see it.
 //
-// All backends share the split
-// transaction model: Access/ReadStream enqueue a transfer from a registered
-// master; the fabric arbitrates its internal resources (a shared data path,
-// per-slave crossbar ports, mesh links), hands the request to the Target
-// when routing completes, and fires the caller's callbacks. Downstream
-// memory latency never holds fabric resources, so independent transfers
-// from different masters can pipeline or (crossbar/mesh) genuinely overlap.
+// All backends share the split transaction model: Submit enqueues a
+// transfer from a registered master; the fabric arbitrates its internal
+// resources (a shared data path, per-slave crossbar ports, mesh links),
+// hands the request to the Target when routing completes, and fires the
+// transaction's callbacks. Downstream memory latency never holds fabric
+// resources, so independent transfers from different masters can pipeline
+// or (crossbar/mesh) genuinely overlap.
 //
 // Determinism contract: given the same engine, registration order, and
 // request sequence, every backend must produce bit-identical timing. All
@@ -30,22 +73,10 @@ type Fabric interface {
 	// stable across runs.
 	RegisterMaster() int
 
-	// Access enqueues a transaction to the default memory-side target.
-	// done fires when the transaction fully completes (data returned for
-	// reads, accepted for writes). Zero-byte accesses complete immediately.
-	Access(master int, addr uint64, bytes uint32, write bool, done func())
-
-	// AccessVia is Access with an explicit responder (cache-to-cache
-	// transfers, coherent DMA sourcing from the CPU cache).
-	AccessVia(master int, addr uint64, bytes uint32, write bool, target Target, done func())
-
-	// ReadStream is a read whose delivery is observable: progress fires
-	// with the cumulative bytes delivered, every gran bytes, as beats
-	// arrive at the master.
-	ReadStream(master int, addr uint64, bytes uint32, gran uint32, progress func(uint32), done func())
-
-	// ReadStreamVia is ReadStream with an explicit responder.
-	ReadStreamVia(master int, addr uint64, bytes uint32, gran uint32, target Target, progress func(uint32), done func())
+	// Submit enqueues t. A zero-byte transaction completes immediately.
+	// Submit panics on an unknown master, and on Progress without a
+	// nonzero Gran or on a write.
+	Submit(t Txn)
 
 	// Stats returns a copy of the accumulated counters.
 	Stats() Stats
@@ -59,8 +90,6 @@ type Fabric interface {
 	AttachProbe(p *obs.Probe)
 
 	// SetFaults attaches a fault injector (nil disables injection).
-	// Backends apply BusNack/backoff/retry-limit/drop at their admission
-	// point, mirroring the bus's address-phase semantics.
 	SetFaults(inj *fault.Injector)
 
 	// InFlight counts transactions the fabric still holds (queued, routed,
@@ -69,35 +98,10 @@ type Fabric interface {
 
 	// DumpInFlight renders internal queue state for a watchdog diagnostic.
 	DumpInFlight() string
-
-	// Utilization reports the busy fraction of elapsed time, normalized by
-	// the fabric's parallelism (a saturated crossbar reports 1.0, not
-	// nSlaves).
-	Utilization(elapsed sim.Tick) float64
 }
 
-// The round-robin bus is the reference Fabric implementation; the figures
-// regression pins its timing bit-for-bit.
-var _ Fabric = (*Bus)(nil)
-
-// registerFabricStats registers the shared counter set for a backend whose
-// Stats() the closure snapshots live. Kept identical across backends so
-// dashboards and the soc stats dump are fabric-agnostic.
-func registerFabricStats(reg *obs.Registry, prefix string, get func() Stats) {
-	reg.CounterFunc(prefix+".transactions", "fabric transactions granted",
-		func() uint64 { return get().Transactions })
-	reg.CounterFunc(prefix+".bytes_moved", "bytes moved over the data path",
-		func() uint64 { return get().BytesMoved })
-	reg.CounterFunc(prefix+".busy_ticks", "summed resource occupancy ticks",
-		func() uint64 { return uint64(get().BusyTicks) })
-	reg.CounterFunc(prefix+".wait_ticks", "summed arbitration queuing delay",
-		func() uint64 { return uint64(get().WaitTicks) })
-	reg.Formula(prefix+".avg_wait_ns", "mean arbitration delay per transaction",
-		func() float64 {
-			s := get()
-			if s.Transactions == 0 {
-				return 0
-			}
-			return s.WaitTicks.Nanos() / float64(s.Transactions)
-		})
-}
+var (
+	_ Fabric = (*Bus)(nil)
+	_ Fabric = (*Crossbar)(nil)
+	_ Fabric = (*Mesh)(nil)
+)

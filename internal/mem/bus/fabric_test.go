@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"reflect"
 	"testing"
 
 	"gem5aladdin/internal/sim"
@@ -31,9 +32,9 @@ func newMesh(t *testing.T, widthBits int, targetLat sim.Tick, dim int) (*sim.Eng
 // their completion times.
 func runFabricTransfer(eng *sim.Engine, f Fabric, bytes uint32) (readAt, writeAt sim.Tick) {
 	m := f.RegisterMaster()
-	f.Access(m, 0x1000, bytes, false, func() { readAt = eng.Now() })
+	f.Submit(Txn{Master: m, Addr: 0x1000, Bytes: bytes, Done: func() { readAt = eng.Now() }})
 	eng.Run()
-	f.Access(m, 0x2000, bytes, true, func() { writeAt = eng.Now() - readAt })
+	f.Submit(Txn{Master: m, Addr: 0x2000, Bytes: bytes, Write: true, Done: func() { writeAt = eng.Now() - readAt }})
 	eng.Run()
 	return readAt, writeAt
 }
@@ -69,8 +70,8 @@ func TestCrossbarParallelRoutes(t *testing.T) {
 	m0, m1 := x.RegisterMaster(), x.RegisterMaster()
 	var done0, done1 sim.Tick
 	// 0x0000 and 0x1000 land on different 4 KiB-interleaved slaves.
-	x.Access(m0, 0x0000, 256, false, func() { done0 = eng.Now() })
-	x.Access(m1, 0x1000, 256, false, func() { done1 = eng.Now() })
+	x.Submit(Txn{Master: m0, Addr: 0x0000, Bytes: 256, Done: func() { done0 = eng.Now() }})
+	x.Submit(Txn{Master: m1, Addr: 0x1000, Bytes: 256, Done: func() { done1 = eng.Now() }})
 	eng.Run()
 	if done0 == 0 || done1 == 0 {
 		t.Fatal("transfers never completed")
@@ -85,8 +86,8 @@ func TestCrossbarParallelRoutes(t *testing.T) {
 	engB, b, _ := newBus(t, 32, 0)
 	bm0, bm1 := b.RegisterMaster(), b.RegisterMaster()
 	var bdone1 sim.Tick
-	b.Access(bm0, 0x0000, 256, false, func() {})
-	b.Access(bm1, 0x1000, 256, false, func() { bdone1 = engB.Now() })
+	b.Submit(Txn{Master: bm0, Addr: 0x0000, Bytes: 256, Done: func() {}})
+	b.Submit(Txn{Master: bm1, Addr: 0x1000, Bytes: 256, Done: func() { bdone1 = engB.Now() }})
 	engB.Run()
 	if bdone1 <= done1 {
 		t.Errorf("bus (%v) should be slower than crossbar (%v) on disjoint parallel transfers", bdone1, done1)
@@ -100,8 +101,8 @@ func TestCrossbarBurstInterleave(t *testing.T) {
 	eng, x, _ := newCrossbar(t, 32, 0, 1, 4)
 	bulk, short := x.RegisterMaster(), x.RegisterMaster()
 	var bulkAt, shortAt sim.Tick
-	x.Access(bulk, 0x0000, 4096, false, func() { bulkAt = eng.Now() })
-	x.Access(short, 0x0000, 16, false, func() { shortAt = eng.Now() })
+	x.Submit(Txn{Master: bulk, Addr: 0x0000, Bytes: 4096, Done: func() { bulkAt = eng.Now() }})
+	x.Submit(Txn{Master: short, Addr: 0x0000, Bytes: 16, Done: func() { shortAt = eng.Now() }})
 	eng.Run()
 	if bulkAt == 0 || shortAt == 0 {
 		t.Fatal("transfers never completed")
@@ -116,7 +117,9 @@ func TestCrossbarReadStreamProgress(t *testing.T) {
 	m := x.RegisterMaster()
 	var marks []uint32
 	var doneAt sim.Tick
-	x.ReadStream(m, 0x0000, 256, 64, func(cum uint32) { marks = append(marks, cum) }, func() { doneAt = eng.Now() })
+	x.Submit(Txn{Master: m, Addr: 0x0000, Bytes: 256, Gran: 64,
+		Progress: func(cum uint32) { marks = append(marks, cum) },
+		Done:     func() { doneAt = eng.Now() }})
 	eng.Run()
 	if doneAt == 0 {
 		t.Fatal("stream never completed")
@@ -162,10 +165,10 @@ func TestMeshHopScaling(t *testing.T) {
 	}
 	// Master 0 -> node 1 (1 hop); master 5 -> node 6 = (2,1) (3 hops).
 	var near, far sim.Tick
-	m.Access(masters[0], 0x0, 4, false, func() { near = eng.Now() })
+	m.Submit(Txn{Master: masters[0], Addr: 0x0, Bytes: 4, Done: func() { near = eng.Now() }})
 	eng.Run()
 	base := eng.Now()
-	m.Access(masters[5], 0x0, 4, false, func() { far = eng.Now() - base })
+	m.Submit(Txn{Master: masters[5], Addr: 0x0, Bytes: 4, Done: func() { far = eng.Now() - base }})
 	eng.Run()
 	if near == 0 || far == 0 {
 		t.Fatal("transfers never completed")
@@ -182,7 +185,7 @@ func TestMeshLinkBackPressure(t *testing.T) {
 	eng, m, _ := newMesh(t, 32, 0, 2)
 	m0 := m.RegisterMaster() // node 1
 	var solo sim.Tick
-	m.Access(m0, 0x0, 512, false, func() { solo = eng.Now() })
+	m.Submit(Txn{Master: m0, Addr: 0x0, Bytes: 512, Done: func() { solo = eng.Now() }})
 	eng.Run()
 
 	eng2, m2, _ := newMesh(t, 32, 0, 2)
@@ -191,9 +194,9 @@ func TestMeshLinkBackPressure(t *testing.T) {
 	c := m2.RegisterMaster() // node 3
 	var last sim.Tick
 	fin := func() { last = eng2.Now() }
-	m2.Access(a, 0x0, 512, false, fin)
-	m2.Access(b, 0x0, 512, false, fin)
-	m2.Access(c, 0x0, 512, false, fin)
+	m2.Submit(Txn{Master: a, Addr: 0x0, Bytes: 512, Done: fin})
+	m2.Submit(Txn{Master: b, Addr: 0x0, Bytes: 512, Done: fin})
+	m2.Submit(Txn{Master: c, Addr: 0x0, Bytes: 512, Done: fin})
 	eng2.Run()
 	// Three 512 B responses all cross the links into their masters, but
 	// the three response paths leave node 0 on two different links; the
@@ -211,7 +214,9 @@ func TestMeshReadStreamProgress(t *testing.T) {
 	mm := m.RegisterMaster()
 	var marks []uint32
 	var doneAt sim.Tick
-	m.ReadStream(mm, 0x0, 256, 64, func(cum uint32) { marks = append(marks, cum) }, func() { doneAt = eng.Now() })
+	m.Submit(Txn{Master: mm, Addr: 0x0, Bytes: 256, Gran: 64,
+		Progress: func(cum uint32) { marks = append(marks, cum) },
+		Done:     func() { doneAt = eng.Now() }})
 	eng.Run()
 	if doneAt == 0 {
 		t.Fatal("stream never completed")
@@ -251,7 +256,7 @@ func TestFabricDeterminism(t *testing.T) {
 				m := f.RegisterMaster()
 				for j := 0; j < 8; j++ {
 					addr := uint64(i)<<14 | uint64(j)<<7
-					f.Access(m, addr, 96, j%2 == 0, func() { times = append(times, eng.Now()) })
+					f.Submit(Txn{Master: m, Addr: addr, Bytes: 96, Write: j%2 == 0, Done: func() { times = append(times, eng.Now()) }})
 				}
 			}
 			eng.Run()
@@ -269,6 +274,80 @@ func TestFabricDeterminism(t *testing.T) {
 			if t1[i] != t2[i] {
 				t.Errorf("%s: completion %d differs across reruns: %v vs %v", name, i, t1[i], t2[i])
 				break
+			}
+		}
+	}
+}
+
+// TestBusIsSinglePortCrossbar answers whether the round-robin bus is a
+// degenerate crossbar. A crossbar with one slave port and bursts long
+// enough never to split a transfer matches the bus on every completion
+// tick, progress mark and counter, with faults off and on, whenever only
+// one master issues or every master issues only writes. With two or more
+// masters issuing reads they diverge on response order alone: the bus
+// drains read responses in completion order, while each crossbar slave
+// round-robins its response channels by master (and advances the same
+// round-robin pointer its requests use). So bus.go stays: folding it into
+// the crossbar would change multi-master crossbar results.
+func TestBusIsSinglePortCrossbar(t *testing.T) {
+	bus := driveBackends[0].mk
+	xbar := func(eng *sim.Engine, tgt Target) Fabric {
+		return NewCrossbar(eng, CrossbarConfig{WidthBits: 64, Clock: sim.NewClockHz(100e6),
+			Slaves: 1, BurstBeats: 1 << 20}, tgt)
+	}
+	seeds := 50
+	if testing.Short() {
+		seeds = 10
+	}
+	for _, masters := range []int{1, 2, 4} {
+		for _, faults := range []int{faultsOff, faultsOn} {
+			diverged := 0
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				for _, mix := range []int{mixAll, mixWrites} {
+					a := drive(bus, seed, masters, mix, faults)
+					b := drive(xbar, seed, masters, mix, faults)
+					same := reflect.DeepEqual(a.marks, b.marks) && a.stats == b.stats && a.faults == b.faults
+					switch {
+					case mix == mixAll && masters > 1:
+						if !same {
+							diverged++
+						}
+					case !same:
+						t.Errorf("masters=%d faults=%d seed=%d mix=%d: bus and one-port crossbar differ (stats %+v vs %+v)",
+							masters, faults, seed, mix, a.stats, b.stats)
+					}
+				}
+			}
+			if masters > 1 && diverged != seeds {
+				t.Errorf("masters=%d faults=%d: reads from several masters diverged on %d of %d seeds, want all: has the crossbar's response order changed?",
+					masters, faults, diverged, seeds)
+			}
+		}
+	}
+}
+
+// TestInFlightCountsEachTransactionOnce steps a lone write and then a lone
+// read that takes several crossbar bursts through each backend: the
+// watchdog count must never exceed the one transaction held.
+func TestInFlightCountsEachTransactionOnce(t *testing.T) {
+	for _, be := range driveBackends {
+		for _, write := range []bool{true, false} {
+			eng := sim.NewEngine()
+			f := be.mk(eng, addrTarget{eng: eng, step: 10 * sim.Nanosecond})
+			m := f.RegisterMaster()
+			done := false
+			f.Submit(Txn{Master: m, Addr: 0x1040, Bytes: 4096, Write: write, Done: func() { done = true }})
+			for peak := f.InFlight(); eng.Step(); {
+				if n := f.InFlight(); n > peak {
+					peak = n
+				}
+				if peak > 1 {
+					t.Fatalf("%s write=%v: InFlight() = %d at %v with one transaction submitted",
+						be.name, write, peak, eng.Now())
+				}
+			}
+			if !done || f.InFlight() != 0 {
+				t.Errorf("%s write=%v: done=%v, InFlight() = %d after drain", be.name, write, done, f.InFlight())
 			}
 		}
 	}

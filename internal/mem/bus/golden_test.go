@@ -62,32 +62,6 @@ func (l *driveLog) word(v uint64) {
 
 func (l *driveLog) digest() string { return hex.EncodeToString(l.h.Sum(nil)) }
 
-// driveTxn is one transaction the seeded driver issues.
-type driveTxn struct {
-	master   int
-	addr     uint64
-	bytes    uint32
-	write    bool
-	target   Target // nil: the fabric's own target
-	gran     uint32
-	progress func(uint32)
-	done     func()
-}
-
-// submit hands t to the fabric's matching entry point.
-func submit(f Fabric, t driveTxn) {
-	switch {
-	case t.progress != nil && t.target != nil:
-		f.ReadStreamVia(t.master, t.addr, t.bytes, t.gran, t.target, t.progress, t.done)
-	case t.progress != nil:
-		f.ReadStream(t.master, t.addr, t.bytes, t.gran, t.progress, t.done)
-	case t.target != nil:
-		f.AccessVia(t.master, t.addr, t.bytes, t.write, t.target, t.done)
-	default:
-		f.Access(t.master, t.addr, t.bytes, t.write, t.done)
-	}
-}
-
 // drive issues 200 seeded transactions at uniform random times in
 // [0, 4 µs) from the given number of masters, sized 8 B to 4 KiB over a
 // 64 KiB window, a quarter of them to an explicit responder. It runs the
@@ -135,22 +109,22 @@ func drive(mk func(*sim.Engine, Target) Fabric, seed int64, masters, mix, faults
 		if mix == mixAll {
 			kind = rng.Intn(3)
 		}
-		t := driveTxn{
-			master: ids[rng.Intn(masters)],
-			addr:   uint64(rng.Intn(1<<16)) &^ 7,
-			bytes:  uint32(8 + rng.Intn(4096-8+1)),
-			write:  kind == 1,
+		t := Txn{
+			Master: ids[rng.Intn(masters)],
+			Addr:   uint64(rng.Intn(1<<16)) &^ 7,
+			Bytes:  uint32(8 + rng.Intn(4096-8+1)),
+			Write:  kind == 1,
 		}
 		if rng.Intn(4) == 0 {
-			t.target = via
+			t.Target = via
 		}
-		id, size := i, t.bytes
-		t.done = func() { observe(id, size) }
+		id, size := i, t.Bytes
+		t.Done = func() { observe(id, size) }
 		if kind == 2 {
-			t.gran = 64
-			t.progress = func(cum uint32) { observe(id, cum) }
+			t.Gran = 64
+			t.Progress = func(cum uint32) { observe(id, cum) }
 		}
-		eng.Schedule(at, func() { submit(f, t) })
+		eng.Schedule(at, func() { f.Submit(t) })
 	}
 	eng.Run()
 	l.stats = f.Stats()

@@ -461,7 +461,8 @@ func (c *Cache) lookup(addr uint64, write bool, done func()) {
 				if res.Invalidations > 0 {
 					c.stats.Upgrades++
 					// Invalidation broadcast: command-only transaction.
-					c.bus.AccessVia(c.bm, line, 8, true, c.snoop, func() {})
+					c.bus.Submit(bus.Txn{Master: c.bm, Addr: line, Bytes: 8, Write: true,
+						Target: c.snoop, Done: func() {}})
 				}
 			} else {
 				c.coh.Read(c.self, line)
@@ -517,13 +518,14 @@ func (c *Cache) miss(line uint64, write bool, done func(), prefetch bool) {
 	}
 	m.c2c = res.Src == coherence.SrcCache
 	m.start = c.eng.Now()
+	fill := bus.Txn{Master: c.bm, Addr: line, Bytes: c.cfg.LineBytes, Done: m.fill}
 	if m.c2c {
 		c.stats.C2CFills++
-		c.bus.AccessVia(c.bm, line, c.cfg.LineBytes, false, c.snoop, m.fill)
+		fill.Target = c.snoop
 	} else {
 		c.stats.MemFills++
-		c.bus.Access(c.bm, line, c.cfg.LineBytes, false, m.fill)
 	}
+	c.bus.Submit(fill)
 
 	if c.cfg.Prefetch && !prefetch {
 		c.trainPrefetcher(line)
@@ -634,7 +636,7 @@ func (c *Cache) install(line uint64, prefetch bool) {
 		if res.Writeback {
 			c.stats.Writebacks++
 			c.fireWriteback()
-			c.bus.Access(c.bm, old, c.cfg.LineBytes, true, func() {})
+			c.bus.Submit(bus.Txn{Master: c.bm, Addr: old, Bytes: c.cfg.LineBytes, Write: true, Done: func() {}})
 		}
 	}
 	c.lruClock++
@@ -720,7 +722,7 @@ func (c *Cache) FlushDirty(done func()) {
 			c.stats.Writebacks++
 			c.fireWriteback()
 			outstanding++
-			c.bus.Access(c.bm, w.line, c.cfg.LineBytes, true, finish)
+			c.bus.Submit(bus.Txn{Master: c.bm, Addr: w.line, Bytes: c.cfg.LineBytes, Write: true, Done: finish})
 		}
 	}
 	finish()

@@ -463,31 +463,20 @@ func (e *Engine) issue(c chunk, write bool, fin func()) {
 				try()
 			})
 		}
-		if write {
-			e.bus.Access(e.master, addr, c.bytes, true, finish)
-			return
+		t := bus.Txn{Master: e.master, Addr: addr, Bytes: c.bytes, Write: write, Done: finish}
+		if !write && e.snoop != nil {
+			t.Target = e.snoop
 		}
-		if e.OnArrive != nil {
+		if !write && e.OnArrive != nil {
 			arr, base := c.t.Arr, c.off
 			last := uint32(0)
-			progress := func(cum uint32) {
+			t.Gran = e.cfg.CPULineBytes
+			t.Progress = func(cum uint32) {
 				e.OnArrive(arr, base+last, cum-last)
 				last = cum
 			}
-			if e.snoop != nil {
-				e.bus.ReadStreamVia(e.master, addr, c.bytes,
-					e.cfg.CPULineBytes, e.snoop, progress, finish)
-				return
-			}
-			e.bus.ReadStream(e.master, addr, c.bytes,
-				e.cfg.CPULineBytes, progress, finish)
-			return
 		}
-		if e.snoop != nil {
-			e.bus.AccessVia(e.master, addr, c.bytes, false, e.snoop, finish)
-			return
-		}
-		e.bus.Access(e.master, addr, c.bytes, false, finish)
+		e.bus.Submit(t)
 	}
 	try()
 }

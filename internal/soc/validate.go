@@ -24,8 +24,8 @@ func (e *ConfigError) Error() string {
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Upper bounds for Config fields that hardware construction later narrows to
-// uint32 (cache.Config.LineBytes at soc.go's cacheConfig, the bus's
-// WidthBytes). Without them a huge value silently truncates — a 2^37-byte
+// uint32 (cache.Config.LineBytes at soc.go's cacheConfig, the fabric's
+// per-beat byte width). Without them a huge value silently truncates — a 2^37-byte
 // cache line becomes 0 — so Validate rejects anything past a bound that is
 // already far beyond physical hardware yet comfortably inside uint32.
 const (
