@@ -24,8 +24,8 @@ type CrossbarConfig struct {
 	BurstBeats int
 }
 
-// xreq is a crossbar transaction. It carries a burst cursor (sent) because
-// a transfer releases its route between bursts.
+// xreq is a crossbar transaction. Unlike the bus's request it carries a
+// burst cursor (sent) because a transfer releases its route between bursts.
 type xreq struct {
 	txn
 	sent  uint32 // bytes already moved across the fabric
@@ -226,6 +226,7 @@ func (x *Crossbar) grant(r *xreq) {
 				x.masters[r.Master].resps.pop()
 				r.Done()
 			}
+			// Otherwise the head stays; the next burst re-arbitrates.
 		})
 
 	case r.Write:
