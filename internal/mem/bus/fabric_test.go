@@ -295,10 +295,7 @@ func TestBusIsSinglePortCrossbar(t *testing.T) {
 		return NewCrossbar(eng, CrossbarConfig{WidthBits: 64, Clock: sim.NewClockHz(100e6),
 			Slaves: 1, BurstBeats: 1 << 20}, tgt)
 	}
-	seeds := 50
-	if testing.Short() {
-		seeds = 10
-	}
+	const seeds = 50
 	for _, masters := range []int{1, 2, 4} {
 		for _, faults := range []int{faultsOff, faultsOn} {
 			diverged := 0
@@ -349,6 +346,30 @@ func TestInFlightCountsEachTransactionOnce(t *testing.T) {
 			if !done || f.InFlight() != 0 {
 				t.Errorf("%s write=%v: done=%v, InFlight() = %d after drain", be.name, write, done, f.InFlight())
 			}
+		}
+	}
+}
+
+// TestSubmitRejectsMalformedStreams checks the shared validation on every
+// backend: stream progress needs a nonzero granularity, and only a read
+// delivers data to observe.
+func TestSubmitRejectsMalformedStreams(t *testing.T) {
+	for _, be := range driveBackends {
+		for _, tx := range []Txn{
+			{Bytes: 64, Progress: func(uint32) {}, Done: func() {}},
+			{Bytes: 64, Gran: 32, Write: true, Progress: func(uint32) {}, Done: func() {}},
+		} {
+			eng := sim.NewEngine()
+			f := be.mk(eng, addrTarget{eng: eng})
+			tx.Master = f.RegisterMaster()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Submit(%+v) did not panic", be.name, tx)
+					}
+				}()
+				f.Submit(tx)
+			}()
 		}
 	}
 }
