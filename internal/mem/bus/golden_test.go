@@ -52,6 +52,10 @@ type driveLog struct {
 	stats  Stats
 	faults fault.Stats
 	h      hash.Hash // marks, probe events, stats and fault log, in order
+
+	eng *sim.Engine
+	f   Fabric
+	inj *fault.Injector
 }
 
 func (l *driveLog) word(v uint64) {
@@ -68,19 +72,27 @@ func (l *driveLog) digest() string { return hex.EncodeToString(l.h.Sum(nil)) }
 // engine dry and returns every completion, progress mark and probe event
 // together with the final fabric and injector counters.
 func drive(mk func(*sim.Engine, Target) Fabric, seed int64, masters, mix, faults int) *driveLog {
+	l := stageDrive(mk, seed, masters, mix, faults)
+	l.eng.Run()
+	l.finish()
+	return l
+}
+
+// stageDrive builds the fabric and schedules drive's transactions without
+// running the engine, so a test can step it.
+func stageDrive(mk func(*sim.Engine, Target) Fabric, seed int64, masters, mix, faults int) *driveLog {
 	eng := sim.NewEngine()
 	f := mk(eng, addrTarget{eng: eng, step: 10 * sim.Nanosecond})
 	via := addrTarget{eng: eng, step: 3 * sim.Nanosecond}
-	l := &driveLog{h: sha256.New()}
-	var inj *fault.Injector
+	l := &driveLog{h: sha256.New(), eng: eng, f: f}
 	if faults != faultsOff {
 		cfg := fault.Config{Seed: uint64(seed), BusNackProb: 0.1, BusRetryLimit: 3,
 			BusBackoff: 30 * sim.Nanosecond}
 		if faults == faultsHeavy {
 			cfg.BusNackProb = 0.5
 		}
-		inj = fault.New(cfg)
-		f.SetFaults(inj)
+		l.inj = fault.New(cfg)
+		f.SetFaults(l.inj)
 	}
 	probe := &obs.Probe{}
 	probe.Listen(func(ev obs.Event) {
@@ -126,15 +138,19 @@ func drive(mk func(*sim.Engine, Target) Fabric, seed int64, masters, mix, faults
 		}
 		eng.Schedule(at, func() { f.Submit(t) })
 	}
-	eng.Run()
-	l.stats = f.Stats()
+	return l
+}
+
+// finish hashes the drained fabric's and injector's counters.
+func (l *driveLog) finish() {
+	l.stats = l.f.Stats()
 	l.word(l.stats.Transactions)
 	l.word(l.stats.BytesMoved)
 	l.word(uint64(l.stats.BusyTicks))
 	l.word(uint64(l.stats.WaitTicks))
-	if inj != nil {
-		l.faults = inj.Stats()
-		for _, r := range inj.Log() {
+	if l.inj != nil {
+		l.faults = l.inj.Stats()
+		for _, r := range l.inj.Log() {
 			l.word(r.Seq)
 			l.word(uint64(r.Tick))
 			l.word(uint64(r.Site)<<8 | uint64(r.Outcome))
@@ -147,7 +163,6 @@ func drive(mk func(*sim.Engine, Target) Fabric, seed int64, masters, mix, faults
 		s.BusNacks, s.BusRetries, s.BusDrops, s.DMATimeouts, s.DMARetries, s.DMAAborts} {
 		l.word(v)
 	}
-	return l
 }
 
 // driveBackends are the fabric configurations the timing digests pin.
@@ -212,6 +227,92 @@ func TestFabricTimingGolden(t *testing.T) {
 				key := fmt.Sprintf("%s/%dm/faults-%s", be.name, masters, fname)
 				got := drive(be.mk, 7, masters, mixAll, faults).digest()
 				want, ok := fabricTimingGolden[key]
+				if !ok {
+					t.Errorf("%q: %q,", key, got)
+					continue
+				}
+				if got != want {
+					t.Errorf("%s: digest %s, want %s", key, got, want)
+				}
+			}
+		}
+	}
+}
+
+// fabricDumpGolden holds the digest of what the no-progress watchdog reads
+// from each backend during its seeded drive, keyed like fabricTimingGolden.
+// The values were computed before the bus was built on the crossbar, and
+// must never be edited: a mismatch means a backend's InFlight count or its
+// DumpInFlight text, which stall messages and stored abort records carry,
+// moved.
+var fabricDumpGolden = map[string]string{
+	"bus/1m/faults-off":               "2935d8798b647144cfe7e3d5558eef1983d4f8406ca515ceb318f5b20dff4954",
+	"bus/1m/faults-on":                "034b4143e920c92eacbf1cf8cfbd4c6a1374123d6a942ccbb419bf97027c7225",
+	"bus/1m/faults-heavy":             "3766bbfc40fa5af8eed225e2454f3f309111cb166bc7a62e7f8af6b8cb08056e",
+	"bus/3m/faults-off":               "1f84a5b3f330aa5eb78c32d7a0653745bf1fdccc5c16405bee0b089c88aaba24",
+	"bus/3m/faults-on":                "903f90350b099df907d6338e34d43a9fb136229a735ec1690ad47d3966180448",
+	"bus/3m/faults-heavy":             "3829b47967f22fc3d2dc6ac2b72f9e9904c1b84694de84fe0ece4f8f59ed8e8f",
+	"crossbar/1m/faults-off":          "7e0c80d85948d6aaeba8cf5993fbe24e24ab25882f911e8a47592cfccfab3166",
+	"crossbar/1m/faults-on":           "410a68399091874fa9f911ad06542c595ae6a90037e05a35b2c021af812e90f6",
+	"crossbar/1m/faults-heavy":        "5c256f34fad257d5caef74d3557ec10206d1d0892a2ed3202d4fda1e65503eef",
+	"crossbar/3m/faults-off":          "8e0c9603f05ec6524ffb232a4ab5c30894e2826d6ba2665ec4b27a495bea19eb",
+	"crossbar/3m/faults-on":           "ca1b85520b149fed14118a5fe5b1c8a257ac18ad5ee61e6af7ba9a76e71e83dc",
+	"crossbar/3m/faults-heavy":        "22b30f0ec3340d61d8852d30b64100b6c95445ef6f31c4e8b9028de670dfb384",
+	"crossbar-1slave/1m/faults-off":   "92596d725836c7891bf3dad25c9a8f604c501fd66696f6300750bb37279f79aa",
+	"crossbar-1slave/1m/faults-on":    "64a856ae32e5c8f9535f2f31966650c870c8f0f19c66525d67d1d272198dd180",
+	"crossbar-1slave/1m/faults-heavy": "f4a2b16e70e5763da3646389f6e3728dfb785aa5072d98d200c78de160ce62ea",
+	"crossbar-1slave/3m/faults-off":   "1594a196114f7ff5615743ccf5c9538ce94f6964dcf239cef9f7a6c62ed5d511",
+	"crossbar-1slave/3m/faults-on":    "ae09855bafdb69431bb0662425616a748fcf85fd1483cf3ce4281fddffb86e2e",
+	"crossbar-1slave/3m/faults-heavy": "de7d2ca810aee05c4aabd3df7684950ca44bb3648637c2dbd81033f6811211e4",
+	"mesh-3x3/1m/faults-off":          "797e10bf2e1d83519c80ef9456a5a62f1e0fe2cb05ae9b50648962a5771bc0a7",
+	"mesh-3x3/1m/faults-on":           "41734f4dd5a30a943aa0ad52437c3434322a1b527be3c932ae008427f2f2cb00",
+	"mesh-3x3/1m/faults-heavy":        "a66f4dddcca9de0a856eddf52ff0f70d4a5c8a6d02965c135e95418cfafcb2fe",
+	"mesh-3x3/3m/faults-off":          "2774fd20ecd0cb043c7bf01b3b7116889bec1ea66738cc17a487dd85ca5f7870",
+	"mesh-3x3/3m/faults-on":           "9f6b380cb84b8f63bafe26818293cde3edb9cc606452b84c45e31d646e1d6ed5",
+	"mesh-3x3/3m/faults-heavy":        "f2d814dd49d1df7ad2b3d7fe6e647720c8a59cbd8156423dc9fc7f52b7db0ed2",
+}
+
+// TestFabricDumpGolden pins each backend's InFlight and DumpInFlight over
+// the seeded drive, with one and three masters and faults off, on and
+// heavy. As the engine steps it hashes the InFlight count whenever it
+// changes, and the DumpInFlight text at every 16th event and once drained:
+// formatting the text after every event would take seconds.
+func TestFabricDumpGolden(t *testing.T) {
+	faultNames := []string{"off", "on", "heavy"}
+	for _, be := range driveBackends {
+		for _, masters := range []int{1, 3} {
+			for faults, fname := range faultNames {
+				key := fmt.Sprintf("%s/%dm/faults-%s", be.name, masters, fname)
+				l := stageDrive(be.mk, 7, masters, mixAll, faults)
+				h := sha256.New()
+				var b [8]byte
+				word := func(v uint64) {
+					binary.LittleEndian.PutUint64(b[:], v)
+					h.Write(b[:])
+				}
+				dump := func() {
+					s := l.f.DumpInFlight()
+					word(uint64(len(s)))
+					h.Write([]byte(s))
+				}
+				last := l.f.InFlight()
+				for l.eng.Step() {
+					event := l.eng.EventsFired()
+					if n := l.f.InFlight(); n != last {
+						word(event)
+						word(uint64(l.eng.Now()))
+						word(uint64(n))
+						last = n
+					}
+					if event%16 == 0 {
+						word(event)
+						dump()
+					}
+				}
+				word(l.eng.EventsFired())
+				dump()
+				got := hex.EncodeToString(h.Sum(nil))
+				want, ok := fabricDumpGolden[key]
 				if !ok {
 					t.Errorf("%q: %q,", key, got)
 					continue
