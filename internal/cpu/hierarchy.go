@@ -20,7 +20,6 @@ import (
 // studies.
 type Hierarchy struct {
 	L1, L2 *cache.Cache
-	link   *bus.Bus
 	eng    *sim.Engine
 }
 
@@ -64,9 +63,9 @@ func NewHierarchy(eng *sim.Engine, cfg HierarchyConfig, sysBus bus.Fabric,
 	h.L2 = cache.New(eng, cfg.L2, sysBus, coh, l2Peer)
 	priv := coherence.NewController()
 	l1Peer := priv.AddPeer()
-	h.link = bus.New(eng, bus.Config{WidthBits: cfg.LinkBits, Clock: cfg.LinkClock},
+	link := bus.New(eng, bus.Config{WidthBits: cfg.LinkBits, Clock: cfg.LinkClock},
 		cacheTarget{h.L2})
-	h.L1 = cache.New(eng, cfg.L1, h.link, priv, l1Peer)
+	h.L1 = cache.New(eng, cfg.L1, link, priv, l1Peer)
 	return h
 }
 

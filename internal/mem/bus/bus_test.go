@@ -18,7 +18,7 @@ func (f *fakeTarget) Access(addr uint64, bytes uint32, write bool, done func()) 
 	f.eng.After(f.latency, done)
 }
 
-func newBus(t *testing.T, widthBits int, targetLat sim.Tick) (*sim.Engine, *Bus, *fakeTarget) {
+func newBus(t *testing.T, widthBits int, targetLat sim.Tick) (*sim.Engine, *Crossbar, *fakeTarget) {
 	t.Helper()
 	eng := sim.NewEngine()
 	tgt := &fakeTarget{eng: eng, latency: targetLat}
@@ -26,22 +26,27 @@ func newBus(t *testing.T, widthBits int, targetLat sim.Tick) (*sim.Engine, *Bus,
 	return eng, b, tgt
 }
 
+// occupancy reports how long one n-byte write holds an idle bus.
+func occupancy(t *testing.T, widthBits int, n uint32) sim.Tick {
+	eng, b, _ := newBus(t, widthBits, 0)
+	b.Submit(Txn{Master: b.RegisterMaster(), Bytes: n, Write: true, Done: func() {}})
+	eng.Run()
+	return b.Stats().BusyTicks
+}
+
 func TestOccupancy(t *testing.T) {
-	_, b, _ := newBus(t, 32, 0)
 	// 32-bit = 4 B/cycle at 10ns: 64 bytes -> 1 + 16 cycles = 170ns.
-	if got := b.OccupancyTicks(64); got != 170*sim.Nanosecond {
+	if got := occupancy(t, 32, 64); got != 170*sim.Nanosecond {
 		t.Fatalf("occupancy(64) = %v, want 170ns", got)
 	}
 	// 1 byte still needs a full data cycle.
-	if got := b.OccupancyTicks(1); got != 20*sim.Nanosecond {
+	if got := occupancy(t, 32, 1); got != 20*sim.Nanosecond {
 		t.Fatalf("occupancy(1) = %v, want 20ns", got)
 	}
 }
 
 func TestWiderBusFaster(t *testing.T) {
-	_, b32, _ := newBus(t, 32, 0)
-	_, b64, _ := newBus(t, 64, 0)
-	if b64.OccupancyTicks(256) >= b32.OccupancyTicks(256) {
+	if occupancy(t, 64, 256) >= occupancy(t, 32, 256) {
 		t.Fatal("64-bit bus should move 256B faster than 32-bit")
 	}
 }

@@ -7,6 +7,12 @@ import (
 	"gem5aladdin/internal/sim"
 )
 
+// Config describes the system bus.
+type Config struct {
+	WidthBits int       // 32 or 64 in the paper's sweeps
+	Clock     sim.Clock // bus clock domain
+}
+
 // CrossbarConfig describes an AXI-like burst-based crossbar: every master
 // owns an independent request/response channel pair, slaves are address
 // interleaved banks of the memory-side target, and any master↔slave route
@@ -24,8 +30,10 @@ type CrossbarConfig struct {
 	BurstBeats int
 }
 
-// xreq is a crossbar transaction. Unlike the bus's request it carries a
-// burst cursor (sent) because a transfer releases its route between bursts.
+// xreq is a crossbar transaction. It carries a burst cursor (sent) because
+// a transfer releases its route between bursts. Nodes are pooled on the
+// crossbar; targets may complete reads out of order, so each outstanding
+// read holds its own node.
 type xreq struct {
 	txn
 	sent  uint32 // bytes already moved across the fabric
@@ -33,6 +41,16 @@ type xreq struct {
 	// dataPhase marks a read response draining data beats back to the
 	// master.
 	dataPhase bool
+
+	x     *Crossbar
+	ready func() // pre-bound dataReady, the read's target callback
+}
+
+// dataReady queues a read's response once its target has the data.
+func (r *xreq) dataReady() {
+	r.dataPhase = true
+	r.x.respQueue(r.Master).push(r)
+	r.x.arbitrate()
 }
 
 type xbarMaster struct {
@@ -41,10 +59,32 @@ type xbarMaster struct {
 	busy  bool        // master channel currently granted to a route
 }
 
+// xbarSlave is one slave port. Only one route holds it at a time, so the
+// port keeps the granted transfer and its phase, and a pre-bound release
+// event, in place of a continuation closure per grant.
 type xbarSlave struct {
-	busy   bool
-	rrNext int // round-robin start master for this slave's arbitration
+	rrNext  int   // round-robin start master for this slave's arbitration
+	cur     *xreq // the transfer holding the port; nil when idle
+	phase   int   // cur's route phase
+	sent    uint32
+	release *sim.Event
 }
+
+// Route phases. Each names its occupancy span and says what the route's
+// release does with the transfer.
+const (
+	readAddr  = iota // hand the read to its target; the response queues for its data
+	writeData        // after the last burst, hand the posted write to its target
+	readData         // after the last burst, complete the read
+	nacked           // back off, then requeue at the back of the channel
+	dropped          // NACKed past the retry limit: the transfer is lost
+)
+
+// Span names per route phase: the crossbar's, and the bus's.
+var (
+	xbarSpans = [...]string{"xbar-read-addr", "xbar-write", "xbar-read-data", "xbar-nack", "xbar-drop"}
+	busSpans  = [...]string{"read-addr", "write", "read-data", "bus-nack", "bus-drop"}
+)
 
 // Crossbar is an AXI-like burst-based interconnect: per-master channel
 // pairs, address-interleaved slave ports, and parallel non-conflicting
@@ -60,6 +100,32 @@ type Crossbar struct {
 
 	masters []xbarMaster
 	slaves  []xbarSlave
+	pool    []*xreq // recycled transaction nodes
+
+	// bus marks the system bus New builds. Its read responses wait in
+	// drain, one completion-order queue, and its spans and in-flight dump
+	// keep the bus's names, sizes and format.
+	bus   bool
+	drain fifo[*xreq]
+}
+
+// New creates the system bus attached to eng, delivering transactions to
+// target: the paper's split-transaction interconnect with a configurable
+// data width (its sweeps use 32 and 64 bits to modulate accelerator-visible
+// bandwidth) and round-robin arbitration between masters.
+//
+// The bus is a crossbar with one slave port that never splits a transfer.
+// A transaction holds it for one arbitration/address cycle plus
+// ceil(bytes/width) data cycles. Downstream memory latency does not hold
+// the bus: the target gets a read when its address phase completes, and
+// the response re-arbitrates for its data phase. This lets independent
+// transfers pipeline at full bus bandwidth, which the DMA and cache-fill
+// experiments depend on. Unlike a crossbar's per-master response channels,
+// the bus drains read responses in the order they complete.
+func New(eng *sim.Engine, cfg Config, target Target) *Crossbar {
+	x := crossbarOn(newPort("bus", eng, cfg.WidthBits, cfg.Clock, target), 1, ^uint32(0))
+	x.bus = true
+	return x
 }
 
 // NewCrossbar creates a crossbar attached to eng, delivering transactions
@@ -78,17 +144,52 @@ func NewCrossbar(eng *sim.Engine, cfg CrossbarConfig, target Target) *Crossbar {
 	if cfg.BurstBeats < 1 {
 		panic(fmt.Sprintf("crossbar: invalid burst length %d", cfg.BurstBeats))
 	}
-	return &Crossbar{
-		port:       p,
-		burstBytes: uint32(cfg.BurstBeats) * p.width,
-		slaves:     make([]xbarSlave, cfg.Slaves),
+	return crossbarOn(p, cfg.Slaves, uint32(cfg.BurstBeats)*p.width)
+}
+
+func crossbarOn(p port, slaves int, burstBytes uint32) *Crossbar {
+	x := &Crossbar{port: p, burstBytes: burstBytes, slaves: make([]xbarSlave, slaves)}
+	for s := range x.slaves {
+		sl := &x.slaves[s]
+		sl.release = sim.NewEvent(func() { x.release(sl) })
 	}
+	return x
 }
 
 // slaveOf interleaves the address space across slave ports at 4KiB
 // granularity (matching DRAM bank interleave scale, so streams spread).
 func (x *Crossbar) slaveOf(addr uint64) int {
 	return int((addr >> 12) % uint64(len(x.slaves)))
+}
+
+// respQueue is the queue master m's read responses wait in.
+func (x *Crossbar) respQueue(m int) *fifo[*xreq] {
+	if x.bus {
+		return &x.drain
+	}
+	return &x.masters[m].resps
+}
+
+// node checks a transaction node for t out of the pool.
+func (x *Crossbar) node(t txn) *xreq {
+	var r *xreq
+	if n := len(x.pool); n > 0 {
+		r = x.pool[n-1]
+		x.pool = x.pool[:n-1]
+	} else {
+		r = &xreq{x: x}
+		r.ready = r.dataReady
+	}
+	r.txn, r.slave = t, x.slaveOf(t.Addr)
+	return r
+}
+
+// free returns a finished transaction's node to the pool. A Done may
+// Submit and take the node straight back out, so callers copy what they
+// still need first.
+func (x *Crossbar) free(r *xreq) {
+	r.txn, r.sent, r.dataPhase = txn{}, 0, false
+	x.pool = append(x.pool, r)
 }
 
 // RegisterMaster allocates a master channel pair and returns its id.
@@ -101,7 +202,7 @@ func (x *Crossbar) RegisterMaster() int {
 // channel (a granted one stays at its queue's head until its route
 // releases) or backing off.
 func (x *Crossbar) InFlight() int {
-	n := x.backoffs
+	n := x.backoffs + x.drain.len()
 	for i := range x.masters {
 		n += x.masters[i].reqs.len() + x.masters[i].resps.len()
 	}
@@ -110,9 +211,12 @@ func (x *Crossbar) InFlight() int {
 
 // DumpInFlight renders the queue state for a watchdog diagnostic.
 func (x *Crossbar) DumpInFlight() string {
+	if x.bus {
+		return x.dumpBus()
+	}
 	granted := 0
 	for _, sl := range x.slaves {
-		if sl.busy {
+		if sl.cur != nil {
 			granted++
 		}
 	}
@@ -132,13 +236,38 @@ func (x *Crossbar) DumpInFlight() string {
 	return s.String()
 }
 
+// dumpBus renders the bus's queue state in its own format, which counts
+// the granted transfer apart from the queues it waits in.
+func (x *Crossbar) dumpBus() string {
+	g := x.slaves[0].cur
+	waiting := func(q []*xreq) []*xreq {
+		if len(q) > 0 && q[0] == g {
+			return q[1:]
+		}
+		return q
+	}
+	var s strings.Builder
+	fmt.Fprintf(&s, "granted=%v responses=%d backoffs=%d", g != nil, len(waiting(x.drain.items())), x.backoffs)
+	for m := range x.masters {
+		q := waiting(x.masters[m].reqs.items())
+		if len(q) == 0 {
+			continue
+		}
+		fmt.Fprintf(&s, "\nmaster%d queue:", m)
+		for _, r := range q {
+			fmt.Fprintf(&s, " %s@%#x(%dB,issued %v)", r.kind(), r.Addr, r.Bytes, r.issued)
+		}
+	}
+	return s.String()
+}
+
 // Submit enqueues t on its master's request channel.
 func (x *Crossbar) Submit(t Txn) {
 	tx, ok := x.admit(t)
 	if !ok {
 		return
 	}
-	x.masters[t.Master].reqs.push(&xreq{txn: tx, slave: x.slaveOf(t.Addr)})
+	x.masters[t.Master].reqs.push(x.node(tx))
 	x.arbitrate()
 }
 
@@ -150,8 +279,7 @@ func (x *Crossbar) Submit(t Txn) {
 // (head-of-line, as on a real in-order master port).
 func (x *Crossbar) arbitrate() {
 	for s := range x.slaves {
-		sl := &x.slaves[s]
-		if sl.busy {
+		if x.slaves[s].cur != nil {
 			continue
 		}
 		if r := x.pickFor(s); r != nil {
@@ -160,9 +288,13 @@ func (x *Crossbar) arbitrate() {
 	}
 }
 
-// pickFor selects the next transfer for slave s, or nil. Round-robin over
-// masters starting at the slave's rrNext; responses win over requests.
+// pickFor selects the next transfer for slave s, or nil. The bus's
+// completion-order queue goes first; otherwise it is round-robin over
+// masters starting at the slave's rrNext, and responses win over requests.
 func (x *Crossbar) pickFor(s int) *xreq {
+	if x.drain.len() > 0 {
+		return x.drain.peek()
+	}
 	n := len(x.masters)
 	sl := &x.slaves[s]
 	for pass := 0; pass < 2; pass++ {
@@ -189,30 +321,19 @@ func (x *Crossbar) pickFor(s int) *xreq {
 // grant routes one burst of r through its master channel and slave port.
 // r stays at the head of its queue until the route releases.
 func (x *Crossbar) grant(r *xreq) {
-	x.masters[r.Master].busy, x.slaves[r.slave].busy = true, true
-
 	if !r.dataPhase && r.sent == 0 {
 		switch x.nack(&r.txn) {
 		case drop:
-			x.releaseRoute(r, x.clock.Cycles(1), "xbar-drop", 0, func() {
-				x.masters[r.Master].reqs.pop()
-			})
+			x.hold(r, x.clock.Cycles(1), dropped, 0)
 			return
 		case retry:
-			x.releaseRoute(r, x.clock.Cycles(1), "xbar-nack", 0, func() {
-				x.masters[r.Master].reqs.pop()
-				x.backoff(r.attempts, func() {
-					x.masters[r.Master].reqs.push(r)
-					x.arbitrate()
-				})
-			})
+			x.hold(r, x.clock.Cycles(1), nacked, 0)
 			return
 		}
 	}
 
 	chunk := min(r.Bytes-r.sent, x.burstBytes)
 	beats := x.beats(chunk)
-	last := r.sent+chunk == r.Bytes
 
 	switch {
 	case r.dataPhase:
@@ -221,55 +342,75 @@ func (x *Crossbar) grant(r *xreq) {
 		if r.Progress != nil {
 			x.spread(&r.txn, r.sent, chunk, window)
 		}
-		x.releaseRoute(r, window, "xbar-read-data", chunk, func() {
-			if last {
-				x.masters[r.Master].resps.pop()
-				r.Done()
-			}
-			// Otherwise the head stays; the next burst re-arbitrates.
-		})
+		x.hold(r, window, readData, chunk)
 
 	case r.Write:
 		// Write burst: address cycle + data beats travel together.
 		if r.sent == 0 {
 			x.count(&r.txn)
 		}
-		x.releaseRoute(r, x.clock.Cycles(1+beats), "xbar-write", chunk, func() {
-			if last {
-				x.masters[r.Master].reqs.pop()
-				// Posted write: the target accepts the full payload after
-				// the final burst; Done fires on acceptance.
-				r.Target.Access(r.Addr, r.Bytes, true, r.Done)
-			}
-		})
+		x.hold(r, x.clock.Cycles(1+beats), writeData, chunk)
 
 	default:
 		// Read request: a one-cycle address phase opens the transaction;
 		// the route frees while the target services it, and the response
 		// drains in bursts on the response channel.
 		x.count(&r.txn)
-		x.releaseRoute(r, x.clock.Cycles(1), "xbar-read-addr", 0, func() {
-			x.masters[r.Master].reqs.pop()
-			r.Target.Access(r.Addr, r.Bytes, false, func() {
-				r.dataPhase = true
-				x.masters[r.Master].resps.push(r)
-				x.arbitrate()
-			})
-		})
+		x.hold(r, x.clock.Cycles(1), readAddr, 0)
 	}
 }
 
-// releaseRoute accounts one route occupancy window, then frees the master
-// channel and slave port, advances the burst cursor by sent bytes, runs the
-// continuation, and re-arbitrates. A transfer with bursts left stays at its
-// queue's head; the continuation pops a finished one.
-func (x *Crossbar) releaseRoute(r *xreq, window sim.Tick, phase string, sent uint32, then func()) {
-	x.occupy(phase, x.eng.Now(), window, r.Master, sent)
-	x.eng.After(window, func() {
-		x.masters[r.Master].busy = false
-		x.slaves[r.slave].busy = false
-		r.sent += sent
-		then()
-		x.arbitrate()
-	})
+// hold occupies r's master channel and slave port for one window of the
+// given phase, moving sent bytes, and schedules the route's release.
+func (x *Crossbar) hold(r *xreq, window sim.Tick, phase int, sent uint32) {
+	name, bytes := xbarSpans[phase], sent
+	if x.bus {
+		name, bytes = busSpans[phase], r.Bytes
+	}
+	x.occupy(name, x.eng.Now(), window, r.Master, bytes)
+	x.masters[r.Master].busy = true
+	sl := &x.slaves[r.slave]
+	sl.cur, sl.phase, sl.sent = r, phase, sent
+	x.eng.AfterEvent(window, sl.release)
+}
+
+// release frees the route sl's transfer holds, advances the transfer's
+// burst cursor, finishes the phase, and re-arbitrates. A transfer with
+// bursts left stays at its queue's head.
+func (x *Crossbar) release(sl *xbarSlave) {
+	r := sl.cur
+	sl.cur = nil
+	x.masters[r.Master].busy = false
+	r.sent += sl.sent
+	switch sl.phase {
+	case readAddr:
+		x.masters[r.Master].reqs.pop()
+		r.Target.Access(r.Addr, r.Bytes, false, r.ready)
+	case writeData:
+		if r.sent == r.Bytes {
+			x.masters[r.Master].reqs.pop()
+			// Posted write: the target accepts the full payload after the
+			// final burst; Done fires on acceptance.
+			target, addr, n, done := r.Target, r.Addr, r.Bytes, r.Done
+			x.free(r)
+			target.Access(addr, n, true, done)
+		}
+	case readData:
+		if r.sent == r.Bytes {
+			x.respQueue(r.Master).pop()
+			done := r.Done
+			x.free(r)
+			done()
+		}
+	case nacked:
+		x.masters[r.Master].reqs.pop()
+		x.backoff(r.attempts, func() {
+			x.masters[r.Master].reqs.push(r)
+			x.arbitrate()
+		})
+	case dropped:
+		x.masters[r.Master].reqs.pop()
+		x.free(r)
+	}
+	x.arbitrate()
 }

@@ -1,9 +1,12 @@
-// Package bus models the SoC system interconnect. Three backends share one
-// master-facing contract, Fabric: the split-transaction round-robin bus (the
-// reference, whose timing the figures regression pins), an AXI-like burst
-// crossbar, and a 2D mesh NoC. The DMA engines, caches and CPU traffic
-// generators speak only Fabric; which backend they ride on is a design-space
-// axis (soc.Config.Fabric), not a wiring decision.
+// Package bus models the SoC system interconnect. Three fabric kinds share
+// one master-facing contract, Fabric: the split-transaction round-robin bus
+// (the reference, whose timing the figures regression pins), an AXI-like
+// burst crossbar, and a 2D mesh NoC. They run on two implementations: New
+// builds the bus as a Crossbar with one slave port that never splits a
+// transfer and drains read responses in completion order, and Mesh is the
+// other. The DMA engines, caches and CPU traffic generators speak only
+// Fabric; which kind they ride on is a design-space axis
+// (soc.Config.Fabric), not a wiring decision.
 package bus
 
 import (
@@ -101,7 +104,6 @@ type Fabric interface {
 }
 
 var (
-	_ Fabric = (*Bus)(nil)
 	_ Fabric = (*Crossbar)(nil)
 	_ Fabric = (*Mesh)(nil)
 )

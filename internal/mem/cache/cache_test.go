@@ -16,7 +16,7 @@ import (
 type rig struct {
 	eng   *sim.Engine
 	cache *Cache
-	bus   *bus.Bus
+	bus   *bus.Crossbar
 	coh   *coherence.Controller
 	cpu   int
 }
