@@ -61,18 +61,21 @@ func BenchmarkFabric(b *testing.B) {
 	}
 }
 
-// TestBusSubmitAllocs gates the bus's steady-state allocations: a read and
-// a write allocate nothing, and a stream allocates at most one scheduled
-// callback per progress mark.
-func TestBusSubmitAllocs(t *testing.T) {
-	for _, c := range []struct {
-		work string
-		max  float64
-	}{{"rw", 0}, {"stream", 4}} {
-		op := fabricOp(benchBackends[0].mk, c.work)
-		op()
-		if got := testing.AllocsPerRun(200, op); got > c.max {
-			t.Errorf("bus %s: %v allocs per op, want <= %v", c.work, got, c.max)
+// TestFabricSubmitAllocs gates the steady-state allocations of the bus and
+// the default crossbar: a read and a write allocate nothing, and a stream
+// allocates at most one scheduled callback per progress mark. The mesh
+// allocates its packets and is not gated.
+func TestFabricSubmitAllocs(t *testing.T) {
+	for _, be := range benchBackends[:2] {
+		for _, c := range []struct {
+			work string
+			max  float64
+		}{{"rw", 0}, {"stream", 4}} {
+			op := fabricOp(be.mk, c.work)
+			op()
+			if got := testing.AllocsPerRun(200, op); got > c.max {
+				t.Errorf("%s %s: %v allocs per op, want <= %v", be.name, c.work, got, c.max)
+			}
 		}
 	}
 }
