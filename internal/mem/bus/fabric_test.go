@@ -279,16 +279,17 @@ func TestFabricDeterminism(t *testing.T) {
 	}
 }
 
-// TestBusIsSinglePortCrossbar answers whether the round-robin bus is a
-// degenerate crossbar. A crossbar with one slave port and bursts long
-// enough never to split a transfer matches the bus on every completion
-// tick, progress mark and counter, with faults off and on, whenever only
-// one master issues or every master issues only writes. With two or more
-// masters issuing reads they diverge on response order alone: the bus
-// drains read responses in completion order, while each crossbar slave
-// round-robins its response channels by master (and advances the same
-// round-robin pointer its requests use). So bus.go stays: folding it into
-// the crossbar would change multi-master crossbar results.
+// TestBusIsSinglePortCrossbar guards that the bus's completion-order
+// response queue stays inside New. A NewCrossbar with one slave port and
+// bursts long enough never to split a transfer matches the bus on every
+// completion tick, progress mark and counter, with faults off and on,
+// whenever only one master issues or every master issues only writes.
+// With two or more masters issuing reads they must diverge on every seed,
+// on response order alone: the bus drains read responses in completion
+// order, while each crossbar slave round-robins its response channels by
+// master (and advances the same round-robin pointer its requests use).
+// Giving every crossbar the bus's order would move multi-master crossbar
+// results and their pinned digests.
 func TestBusIsSinglePortCrossbar(t *testing.T) {
 	bus := driveBackends[0].mk
 	xbar := func(eng *sim.Engine, tgt Target) Fabric {
