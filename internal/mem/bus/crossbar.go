@@ -63,10 +63,10 @@ type xbarMaster struct {
 // port keeps the granted transfer and its phase, and a pre-bound release
 // event, in place of a continuation closure per grant.
 type xbarSlave struct {
-	rrNext  int   // round-robin start master for this slave's arbitration
-	cur     *xreq // the transfer holding the port; nil when idle
-	phase   int   // cur's route phase
-	sent    uint32
+	rrNext  int    // round-robin start master for this slave's arbitration
+	cur     *xreq  // the transfer holding the port; nil when idle
+	phase   int    // cur's route phase
+	sent    uint32 // bytes cur's burst moves
 	release *sim.Event
 }
 
@@ -147,6 +147,8 @@ func NewCrossbar(eng *sim.Engine, cfg CrossbarConfig, target Target) *Crossbar {
 	return crossbarOn(p, cfg.Slaves, uint32(cfg.BurstBeats)*p.width)
 }
 
+// crossbarOn builds a crossbar over p with the given number of slave ports
+// and payload cap per burst.
 func crossbarOn(p port, slaves int, burstBytes uint32) *Crossbar {
 	x := &Crossbar{port: p, burstBytes: burstBytes, slaves: make([]xbarSlave, slaves)}
 	for s := range x.slaves {
