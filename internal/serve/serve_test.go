@@ -319,6 +319,9 @@ func TestRequestValidation(t *testing.T) {
 		"unknown kernel": {Kernel: "no-such-kernel"},
 		"unknown mem":    {Kernel: "spmv-crs", Mem: "telepathy"},
 		"invalid grid":   {Kernel: "spmv-crs", Mem: "dma", Partitions: []int{0}},
+		// One infeasible scratchpad point fails the whole grid with its
+		// ConfigError; only cache grids prune infeasible geometries.
+		"infeasible grid point": {Kernel: "spmv-crs", Mem: "dma", Partitions: []int{0, 4}},
 	} {
 		if code, body := postSweep(t, ts.URL, req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, code, body)
