@@ -56,10 +56,6 @@ func main() {
 	}
 	kern := soc.Compile(ddg.Build(tr))
 
-	opt := dse.QuickAxes()
-	if *full {
-		opt = dse.FullAxes()
-	}
 	base := soc.DefaultConfig()
 	base.BusWidthBits = *busBits
 	if err := rb.Apply(&base); err != nil {
@@ -75,8 +71,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	sweep := func(cfgs []soc.Config) dse.Space {
-		space, err := dse.Sweep(context.Background(), kern, cfgs, dse.SweepOptions{})
+	sweep := func(mem soc.MemKind) dse.Space {
+		sp := dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, *full, nil)}
+		sp.Base.Mem = mem
+		space, err := dse.Sweep(context.Background(), kern, sp.Grid(), dse.SweepOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -86,9 +84,8 @@ func main() {
 	if lg != nil {
 		lg.Info("advisor sweeping", "bench", *bench, "full", *full)
 	}
-	dmaSpace := sweep(dse.SpadConfigs(base, soc.DMA, opt.Lanes, opt.Partitions))
-	cacheSpace := sweep(dse.CacheConfigs(base, opt.Lanes, opt.CacheKB,
-		opt.CacheLines, opt.CachePorts, opt.CacheAssoc))
+	dmaSpace := sweep(soc.DMA)
+	cacheSpace := sweep(soc.Cache)
 	if lg != nil {
 		lg.Info("advisor swept", "dma_points", len(dmaSpace),
 			"cache_points", len(cacheSpace))

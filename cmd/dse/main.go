@@ -80,10 +80,6 @@ func main() {
 	}
 	kern := soc.Compile(ddg.Build(tr))
 
-	opt := dse.QuickAxes()
-	if *full {
-		opt = dse.FullAxes()
-	}
 	base := soc.DefaultConfig()
 	base.BusWidthBits = *busBits
 	if err := rb.Apply(&base); err != nil {
@@ -109,20 +105,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// One space description either way: -search samples the default large
+	// axes, the grid walks every point of the Fig 3 table.
+	base.Mem = kind
+	sspace := dse.SearchSpace{Base: base, Axes: dse.GridAxes(kind, *full, fabricAxis)}
 	var cfgs []soc.Config
-	var sspace dse.SearchSpace
 	if *adapt {
-		sbase := base
-		sbase.Mem = kind
-		sspace = dse.SearchSpace{Base: sbase,
-			Axes: dse.WithFabricAxis(dse.DefaultSearchAxes(kind), fabricAxis)}
+		sspace.Axes = dse.WithFabricAxis(dse.DefaultSearchAxes(kind), fabricAxis)
 		if err := sspace.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 	} else {
-		opt.Fabrics = fabricAxis
-		cfgs = dse.GridConfigs(base, kind, opt)
+		cfgs = sspace.Grid()
 	}
 
 	// Ctrl-C abandons the sweep at the next design-point boundary instead of

@@ -34,9 +34,8 @@ type SweepOptions = dse.SweepOptions
 // are deterministic regardless of goroutine scheduling. Cancelling ctx (or
 // exceeding its deadline) stops the sweep at the next design-point
 // boundary and returns ctx.Err() with no partial space. Impossible design
-// points are rejected up front with a *soc.ConfigError; filter candidate
-// lists with Config.Validate (as CacheConfigs does) when enumerating
-// aggressively.
+// points are rejected up front with a *soc.ConfigError; SearchSpace.Grid
+// keeps only the points Config.Validate accepts.
 func Sweep(ctx context.Context, k *Kernel, cfgs []Config, opts SweepOptions) (DesignSpace, error) {
 	return dse.Sweep(ctx, k, cfgs, opts)
 }
@@ -67,30 +66,6 @@ var ErrEmptySpace = dse.ErrEmptySpace
 // simulations of identical design points.
 func PointKey(kernel string, cfg Config) string { return dse.PointKey(kernel, cfg) }
 
-// SweepAxes sizes the sweep axes; see QuickSweepAxes and FullSweepAxes.
-type SweepAxes = dse.SweepAxes
-
-// QuickSweepAxes returns pruned sweep axes for tests and fast iteration:
-// lanes and memory sizes are kept, line size and associativity pin to
-// their defaults.
-func QuickSweepAxes() SweepAxes { return dse.QuickAxes() }
-
-// FullSweepAxes returns the complete Fig 3 parameter table.
-func FullSweepAxes() SweepAxes { return dse.FullAxes() }
-
-// SpadConfigs enumerates lanes x partitions design points for Isolated or
-// DMA memory systems over the given base configuration.
-func SpadConfigs(base Config, mem MemKind, lanes, partitions []int) []Config {
-	return dse.SpadConfigs(base, mem, lanes, partitions)
-}
-
-// CacheConfigs enumerates cache design points (lanes x size x line x ports
-// x associativity), silently skipping geometrically impossible
-// combinations (e.g. 2KB/64B/8-way has too few sets).
-func CacheConfigs(base Config, lanes, sizesKB, lines, ports, assocs []int) []Config {
-	return dse.CacheConfigs(base, lanes, sizesKB, lines, ports, assocs)
-}
-
 // ConfigError is the typed error Config.Validate (and every Run entry
 // point) reports for an impossible design point; it names the offending
 // field. Recover it with errors.As.
@@ -101,12 +76,22 @@ type ConfigError = soc.ConfigError
 // ordered values it may take.
 type SearchAxis = dse.SearchAxis
 
-// SearchSpace describes a design space for adaptive search: a base config
-// plus the axes the search varies. It is a superset of SweepAxes — its
-// cross product routinely reaches 10^5-10^6 points, far beyond what Sweep
-// can enumerate — with a stable point codec (Rank/Unrank) and a content
-// fingerprint that keys resume checkpoints.
+// SearchSpace is the one description of a design space: a base config
+// plus the named axes that vary, with a stable point codec (Rank/Unrank)
+// and a content fingerprint that keys resume checkpoints. Grid walks it
+// exhaustively for Sweep — GridAxes gives the Fig 3 table — and Search
+// samples spaces of 10^5-10^6 points that no grid can enumerate.
 type SearchSpace = dse.SearchSpace
+
+// GridAxes returns one memory system's Fig 3 grid as axes: lanes x
+// partitions for Isolated and DMA designs, lanes x cache size x line x
+// ports x associativity for caches. full selects the whole table instead of
+// the quick one; a non-empty fabrics list adds a fabric axis first. Walk it
+// with SearchSpace{Base: cfg, Axes: GridAxes(mem, full, nil)}.Grid(), where
+// cfg.Mem is mem.
+func GridAxes(mem MemKind, full bool, fabrics []FabricKind) []SearchAxis {
+	return dse.GridAxes(mem, full, fabrics)
+}
 
 // SearchOptions tunes Search: the RNG seed (same seed, same space ⇒
 // bit-identical evaluation sequence and front), the evaluation budget, the

@@ -8,9 +8,9 @@ import (
 	gem5aladdin "gem5aladdin"
 )
 
-// ExampleSweep traces a small saxpy kernel, sweeps lanes x partitions over
-// DMA-backed scratchpad designs, and extracts the Pareto frontier and the
-// EDP-optimal point — the cmd/dse workflow, from library code.
+// ExampleSweep traces a small saxpy kernel, sweeps a lanes x partitions
+// space of DMA-backed scratchpad designs, and extracts the Pareto frontier
+// and the EDP-optimal point — the cmd/dse workflow, from library code.
 func ExampleSweep() {
 	const n = 256
 	b := gem5aladdin.NewKernel("saxpy")
@@ -27,10 +27,13 @@ func ExampleSweep() {
 	}
 	k := gem5aladdin.Compile(gem5aladdin.BuildGraph(b.Finish()))
 
-	// Enumerate the design space and evaluate every point in parallel.
-	cfgs := gem5aladdin.SpadConfigs(gem5aladdin.DefaultConfig(), gem5aladdin.DMA,
-		[]int{1, 2, 4}, []int{1, 2, 4})
-	space, err := gem5aladdin.Sweep(context.Background(), k, cfgs,
+	// Describe the design space once, walk every point of its grid, and
+	// evaluate the points in parallel.
+	designs := gem5aladdin.SearchSpace{Base: gem5aladdin.DefaultConfig(), Axes: []gem5aladdin.SearchAxis{
+		{Name: "lanes", Values: []int{1, 2, 4}},
+		{Name: "partitions", Values: []int{1, 2, 4}},
+	}}
+	space, err := gem5aladdin.Sweep(context.Background(), k, designs.Grid(),
 		gem5aladdin.SweepOptions{})
 	if err != nil {
 		panic(err)

@@ -25,11 +25,12 @@ import (
 // sweepConfigs builds the quick-mode DMA + cache design points for one
 // kernel: the mixed workload a scenario study (Fig 9/10) runs per kernel.
 func sweepConfigs() []soc.Config {
-	base := soc.DefaultConfig()
-	opt := dse.QuickAxes()
-	cfgs := dse.SpadConfigs(base, soc.DMA, opt.Lanes, opt.Partitions)
-	cfgs = append(cfgs, dse.CacheConfigs(base, opt.Lanes, opt.CacheKB,
-		opt.CacheLines, opt.CachePorts, opt.CacheAssoc)...)
+	var cfgs []soc.Config
+	for _, mem := range []soc.MemKind{soc.DMA, soc.Cache} {
+		base := soc.DefaultConfig()
+		base.Mem = mem
+		cfgs = append(cfgs, dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, false, nil)}.Grid()...)
+	}
 	return cfgs
 }
 
@@ -159,14 +160,7 @@ func searchBenchSpace() dse.SearchSpace {
 func BenchmarkSearchVsGrid(b *testing.B) {
 	k := soc.Compile(ddg.Build(machsuite.MustBuild("spmv-crs")))
 	sp := searchBenchSpace()
-	var cfgs []soc.Config
-	for r := uint64(0); r < sp.Size(); r++ {
-		cfg := sp.Config(sp.Unrank(r))
-		if cfg.Validate() != nil {
-			continue
-		}
-		cfgs = append(cfgs, cfg)
-	}
+	cfgs := sp.Grid()
 	b.Run("grid", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

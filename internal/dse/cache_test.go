@@ -89,7 +89,7 @@ func TestDecodePointRejectsForeignSchema(t *testing.T) {
 func TestSweepWriteThroughAndWarmStart(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
 	cache := testStoreCache(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	cfgs := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4})
 
 	cold, err := Sweep(context.Background(), k, cfgs, SweepOptions{Cache: cache})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestSweepWriteThroughAndWarmStart(t *testing.T) {
 // Pareto front.
 func TestSweepIsolatedFailuresEnumerated(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	good := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	good := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4})
 	cfgs := append([]soc.Config{}, good...)
 	// A one-picosecond DMA descriptor timeout with zero retries aborts the
 	// run before any transfer completes — the injector's give-up path.
@@ -196,7 +196,7 @@ func TestSweepIsolatedFailuresEnumerated(t *testing.T) {
 func TestSweepIsolatedCachedFailuresReplay(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
 	cache := testStoreCache(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1}, []int{1, 4})
+	cfgs := spadGrid(soc.DMA, []int{1}, []int{1, 4})
 	for i := range cfgs {
 		cfgs[i].WatchdogTicks = 10
 	}

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"gem5aladdin/internal/ddg"
 	"gem5aladdin/internal/soc"
@@ -117,42 +117,65 @@ func privateEvaluator(workers, points int, cache *StoreCache, retry RetryPolicy)
 // ParetoFront returns the points not dominated in (runtime, power): a
 // point survives if no other point is at least as fast AND at least as
 // low-power, with one strict. The result is sorted by runtime.
-//
-// One sort plus a min-power sweep over the sorted order, O(n log n): after
-// sorting by (runtime, power), any dominator of a point precedes it, so a
-// point is dominated iff some earlier point has strictly lower power, or
-// equal power with strictly lower runtime (the duplicate-coordinates case,
-// where exact ties survive together).
 func (s Space) ParetoFront() Space {
 	if len(s) == 0 {
 		return nil
 	}
-	order := make([]int, len(s))
-	for i := range order {
-		order[i] = i
+	objs := make([]objective, len(s))
+	for i, p := range s {
+		objs[i] = objective{runtime: int64(p.Res.Runtime), power: p.Res.AvgPowerW, index: i}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		p, q := s[order[a]].Res, s[order[b]].Res
-		if p.Runtime != q.Runtime {
-			return p.Runtime < q.Runtime
+	idx := paretoFront(objs)
+	front := make(Space, len(idx))
+	for j, i := range idx {
+		front[j] = s[i]
+	}
+	return front
+}
+
+// objective is one point's (runtime, power) pair and its index in the
+// caller's list: what paretoFront sorts.
+type objective struct {
+	runtime int64
+	power   float64
+	index   int
+}
+
+// paretoFront is the one Pareto sweep, behind Space.ParetoFront and the
+// search's archive fronts: it sorts objs by (runtime, power, index) in place
+// and returns the indices of the undominated entries in that order. One sort
+// plus a min-power sweep, O(n log n): after the sort any dominator of a
+// point precedes it, so a point is dominated iff some earlier point has
+// strictly lower power, or equal power with strictly lower runtime (the
+// duplicate-coordinates case, where exact ties survive together).
+func paretoFront(objs []objective) []int {
+	if len(objs) == 0 {
+		return nil
+	}
+	slices.SortFunc(objs, func(p, q objective) int {
+		switch {
+		case p.runtime < q.runtime:
+			return -1
+		case p.runtime > q.runtime:
+			return 1
+		case p.power < q.power:
+			return -1
+		case p.power > q.power:
+			return 1
 		}
-		if p.AvgPowerW != q.AvgPowerW {
-			return p.AvgPowerW < q.AvgPowerW
-		}
-		return order[a] < order[b]
+		return p.index - q.index
 	})
-	var front Space
-	minPower := s[order[0]].Res.AvgPowerW
-	minPowerRuntime := s[order[0]].Res.Runtime
-	for _, idx := range order {
-		p := s[idx].Res
-		dominated := minPower < p.AvgPowerW ||
-			(minPower == p.AvgPowerW && minPowerRuntime < p.Runtime)
+	var front []int
+	minPower := objs[0].power
+	minPowerRuntime := objs[0].runtime
+	for _, p := range objs {
+		dominated := minPower < p.power ||
+			(minPower == p.power && minPowerRuntime < p.runtime)
 		if !dominated {
-			front = append(front, s[idx])
+			front = append(front, p.index)
 		}
-		if p.AvgPowerW < minPower {
-			minPower, minPowerRuntime = p.AvgPowerW, p.Runtime
+		if p.power < minPower {
+			minPower, minPowerRuntime = p.power, p.runtime
 		}
 	}
 	return front
@@ -242,46 +265,32 @@ func DefaultCacheLines() []int { return []int{16, 32, 64} }
 // DefaultCacheAssocs is the Fig 3 associativity sweep.
 func DefaultCacheAssocs() []int { return []int{4, 8} }
 
-// SpadConfigs enumerates lanes x partitions for Isolated or DMA designs.
-func SpadConfigs(base soc.Config, mem soc.MemKind, lanes, partitions []int) []soc.Config {
-	var out []soc.Config
-	for _, l := range lanes {
-		for _, p := range partitions {
-			c := base
-			c.Mem = mem
-			c.Lanes = l
-			c.Partitions = p
-			out = append(out, c)
+// GridAxes returns one memory system's Fig 3 grid as search axes: lanes x
+// partitions for the scratchpad systems, lanes x cache size x line x ports x
+// associativity for caches. full selects the whole table; the quick grid
+// keeps the lane and size axes (they drive the co-design conclusions) and
+// pins line size and associativity to their defaults, for tests and fast
+// iteration. A non-empty fabrics list adds a fabric axis first, so each
+// fabric's points stay contiguous. Walk the axes with SearchSpace.Grid over
+// a base config whose Mem is mem.
+func GridAxes(mem soc.MemKind, full bool, fabrics []soc.FabricKind) []SearchAxis {
+	pick := func(quick []int, all func() []int) []int {
+		if full {
+			return all()
 		}
+		return quick
 	}
-	return out
-}
-
-// CacheConfigs enumerates cache design points.
-func CacheConfigs(base soc.Config, lanes, sizesKB, lines, ports, assocs []int) []soc.Config {
-	var out []soc.Config
-	for _, l := range lanes {
-		for _, kb := range sizesKB {
-			for _, ln := range lines {
-				for _, pt := range ports {
-					for _, as := range assocs {
-						c := base
-						c.Mem = soc.Cache
-						c.Lanes = l
-						c.CacheKB = kb
-						c.CacheLineBytes = ln
-						c.CachePorts = pt
-						c.CacheAssoc = as
-						if c.Validate() != nil {
-							continue // e.g. 2KB/64B/8-way has too few sets
-						}
-						out = append(out, c)
-					}
-				}
-			}
-		}
+	axes := append(WithFabricAxis(nil, fabrics),
+		SearchAxis{Name: "lanes", Values: pick([]int{1, 4, 16}, DefaultLanes)})
+	if mem != soc.Cache {
+		return append(axes, SearchAxis{Name: "partitions", Values: pick([]int{1, 4, 16}, DefaultPartitions)})
 	}
-	return out
+	return append(axes,
+		SearchAxis{Name: "cache_kb", Values: pick([]int{2, 8, 32}, DefaultCacheKB)},
+		SearchAxis{Name: "cache_line", Values: pick([]int{32}, DefaultCacheLines)},
+		SearchAxis{Name: "cache_ports", Values: pick([]int{1, 4}, DefaultCachePorts)},
+		SearchAxis{Name: "cache_assoc", Values: pick([]int{4}, DefaultCacheAssocs)},
+	)
 }
 
 // Scenario is one of the paper's four design contexts (Sec V-B).
@@ -302,85 +311,12 @@ func Scenarios() []Scenario {
 	}
 }
 
-// SweepAxes sizes a scenario sweep. Quick trims the cache cross-product
-// for test-speed; Full is the paper's Fig 3 table.
-type SweepAxes struct {
-	Lanes      []int
-	Partitions []int
-	CacheKB    []int
-	CacheLines []int
-	CachePorts []int
-	CacheAssoc []int
-	// Fabrics, when non-empty, crosses the grid with interconnect
-	// topologies (the fabric axis). Empty keeps the scenario's default
-	// fabric — the round-robin bus — so legacy sweeps are unchanged.
-	Fabrics []soc.FabricKind
-}
-
-// FullAxes is the complete Fig 3 sweep.
-func FullAxes() SweepAxes {
-	return SweepAxes{
-		Lanes:      DefaultLanes(),
-		Partitions: DefaultPartitions(),
-		CacheKB:    DefaultCacheKB(),
-		CacheLines: DefaultCacheLines(),
-		CachePorts: DefaultCachePorts(),
-		CacheAssoc: DefaultCacheAssocs(),
-	}
-}
-
-// QuickAxes is a pruned sweep for tests and fast iteration: the lane
-// and size axes are kept (they drive the co-design conclusions), line size
-// and associativity pin to their defaults.
-func QuickAxes() SweepAxes {
-	return SweepAxes{
-		Lanes:      []int{1, 4, 16},
-		Partitions: []int{1, 4, 16},
-		CacheKB:    []int{2, 8, 32},
-		CacheLines: []int{32},
-		CachePorts: []int{1, 4},
-		CacheAssoc: []int{4},
-	}
-}
-
-// ScenarioConfigs builds the config list for one scenario.
-func ScenarioConfigs(sc Scenario, opt SweepAxes) []soc.Config {
+// Space is the scenario's Fig 3 grid, quick or full, as a design space.
+func (sc Scenario) Space(full bool) SearchSpace {
 	base := soc.DefaultConfig()
+	base.Mem = sc.Mem
 	base.BusWidthBits = sc.BusBits
-	return GridConfigs(base, sc.Mem, opt)
-}
-
-// GridConfigs expands one memory system's grid over base: lanes x
-// partitions for the scratchpad systems, or the cache cross product (with
-// impossible geometries pruned, as in CacheConfigs) for caches, then
-// crossed with the fabric axis.
-func GridConfigs(base soc.Config, mem soc.MemKind, axes SweepAxes) []soc.Config {
-	var cfgs []soc.Config
-	if mem == soc.Cache {
-		cfgs = CacheConfigs(base, axes.Lanes, axes.CacheKB, axes.CacheLines,
-			axes.CachePorts, axes.CacheAssoc)
-	} else {
-		cfgs = SpadConfigs(base, mem, axes.Lanes, axes.Partitions)
-	}
-	return WithFabrics(cfgs, axes.Fabrics)
-}
-
-// WithFabrics crosses a config list with interconnect topologies: each
-// config is replicated once per kind, in kind order then config order (so
-// per-fabric slices of the result stay contiguous). An empty kind list
-// returns cfgs untouched — the round-robin bus baseline.
-func WithFabrics(cfgs []soc.Config, kinds []soc.FabricKind) []soc.Config {
-	if len(kinds) == 0 {
-		return cfgs
-	}
-	out := make([]soc.Config, 0, len(cfgs)*len(kinds))
-	for _, k := range kinds {
-		for _, c := range cfgs {
-			c.Fabric.Kind = k
-			out = append(out, c)
-		}
-	}
-	return out
+	return SearchSpace{Base: base, Axes: GridAxes(sc.Mem, full, nil)}
 }
 
 // --- Fig 9 microarchitectural metrics ---
@@ -427,11 +363,10 @@ type Improvement struct {
 	EDPRatio     float64
 }
 
-// EDPImprovement runs the comparison for one scenario. isolatedOpt is the
-// EDP optimum of the isolated sweep.
-func EDPImprovement(k *soc.Compiled, isolatedOpt Point, sc Scenario, opt SweepAxes) (Improvement, error) {
-	cfgs := ScenarioConfigs(sc, opt)
-	space, err := Sweep(context.Background(), k, cfgs, SweepOptions{})
+// EDPImprovement runs the comparison for one scenario over its quick or
+// full Fig 3 grid. isolatedOpt is the EDP optimum of the isolated sweep.
+func EDPImprovement(k *soc.Compiled, isolatedOpt Point, sc Scenario, full bool) (Improvement, error) {
+	space, err := Sweep(context.Background(), k, sc.Space(full).Grid(), SweepOptions{})
 	if err != nil {
 		return Improvement{}, err
 	}

@@ -37,9 +37,20 @@ func kernelOf(t testing.TB, name string) *soc.Compiled {
 	return k
 }
 
+// spadGrid walks lanes x partitions over the default config on memory
+// system mem.
+func spadGrid(mem soc.MemKind, lanes, partitions []int) []soc.Config {
+	base := soc.DefaultConfig()
+	base.Mem = mem
+	return SearchSpace{Base: base, Axes: []SearchAxis{
+		{Name: "lanes", Values: lanes},
+		{Name: "partitions", Values: partitions},
+	}}.Grid()
+}
+
 func TestSweepParallelDeterministic(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	cfgs := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4})
 	a, err := Sweep(context.Background(), k, cfgs, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +71,7 @@ func TestSweepParallelDeterministic(t *testing.T) {
 
 func TestParetoFrontProperties(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, DefaultLanes(), []int{1, 4, 16})
+	cfgs := spadGrid(soc.DMA, DefaultLanes(), []int{1, 4, 16})
 	space, err := Sweep(context.Background(), k, cfgs, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +118,7 @@ func TestParetoFrontProperties(t *testing.T) {
 
 func TestEDPOptimalIsMinimum(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	space, err := Sweep(context.Background(), k, SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4, 16}, []int{1, 16}), SweepOptions{})
+	space, err := Sweep(context.Background(), k, spadGrid(soc.DMA, []int{1, 4, 16}, []int{1, 16}), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +148,7 @@ func TestEDPOptimalEmptyReportsNotOK(t *testing.T) {
 // and the ranking path must degrade to ok=false instead of panicking.
 func TestFaultHeavySweepEmptySpace(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	cfgs := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4})
 	for i := range cfgs {
 		// A one-picosecond descriptor timeout with no retries aborts every
 		// transfer before its first bus transaction can complete.
@@ -166,7 +177,7 @@ func TestFaultHeavySweepEmptySpace(t *testing.T) {
 // surfaces ctx.Err() with no partial space.
 func TestSweepCtxCancellation(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 2, 4, 8}, []int{1, 2, 4, 8})
+	cfgs := spadGrid(soc.DMA, []int{1, 2, 4, 8}, []int{1, 2, 4, 8})
 
 	// Already-cancelled context: nothing runs.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -216,7 +227,7 @@ func TestSweepCtxCancellation(t *testing.T) {
 // share one simulation's result, and progress still counts every config.
 func TestSweepDuplicateConfigs(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	grid := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	grid := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4})
 	cfgs := []soc.Config{grid[0], grid[1], grid[0], grid[2], grid[1], grid[0], grid[3]}
 	var last [2]int
 	space, err := Sweep(context.Background(), k, cfgs, SweepOptions{Workers: 2,
@@ -240,21 +251,36 @@ func TestSweepDuplicateConfigs(t *testing.T) {
 	}
 }
 
-func TestCacheConfigsSkipInvalid(t *testing.T) {
-	cfgs := CacheConfigs(soc.DefaultConfig(), []int{1}, []int{2}, []int{64}, []int{1}, []int{8})
-	// 2KB / 64B lines / 8-way = 4 sets: power of two, fine. But 2KB/64B
-	// lines = 32 lines, 8-way -> 4 sets: valid. Try a genuinely bad one.
-	for _, c := range cfgs {
-		if c.Validate() != nil {
-			t.Fatal("CacheConfigs produced invalid config")
+// TestGridSkipsInfeasiblePoints checks the odometer against the point
+// codec: Grid is the cross product in rank order (Unrank over 0..Size-1),
+// minus exactly the points Config.Validate rejects.
+func TestGridSkipsInfeasiblePoints(t *testing.T) {
+	base := soc.DefaultConfig()
+	base.Mem = soc.Cache
+	sp := SearchSpace{Base: base, Axes: []SearchAxis{
+		{Name: "lanes", Values: []int{1, 4}},
+		{Name: "cache_kb", Values: []int{2, 4}},
+		{Name: "cache_assoc", Values: []int{128, 3, 4}},
+	}}
+	var want []soc.Config
+	for r := uint64(0); r < sp.Size(); r++ {
+		if c := sp.Config(sp.Unrank(r)); c.Validate() == nil {
+			want = append(want, c)
 		}
+	}
+	if len(want) == 0 || uint64(len(want)) == sp.Size() {
+		t.Fatalf("%d of %d points feasible: the space must mix both kinds", len(want), sp.Size())
+	}
+	if got := sp.Grid(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Grid kept %d points, want the %d feasible ones in rank order", len(got), len(want))
 	}
 }
 
-func TestScenarioConfigs(t *testing.T) {
-	opt := QuickAxes()
+// TestScenarioGrids checks each design scenario's quick grid: non-empty,
+// feasible, and on the scenario's memory system and bus.
+func TestScenarioGrids(t *testing.T) {
 	for _, sc := range Scenarios() {
-		cfgs := ScenarioConfigs(sc, opt)
+		cfgs := sc.Space(false).Grid()
 		if len(cfgs) == 0 {
 			t.Fatalf("%s: no configs", sc.Name)
 		}
@@ -303,8 +329,7 @@ func TestPointMetrics(t *testing.T) {
 // co-designed optimum.
 func TestCoDesignShrinksDesigns(t *testing.T) {
 	k := kernelOf(t, "stencil-stencil3d")
-	opt := QuickAxes()
-	isoSpace, err := Sweep(context.Background(), k, ScenarioConfigs(Scenarios()[0], opt), SweepOptions{})
+	isoSpace, err := Sweep(context.Background(), k, Scenarios()[0].Space(false).Grid(), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +338,7 @@ func TestCoDesignShrinksDesigns(t *testing.T) {
 		t.Fatal("isolated sweep came back empty")
 	}
 
-	imp, err := EDPImprovement(k, isoBest, Scenarios()[1], opt)
+	imp, err := EDPImprovement(k, isoBest, Scenarios()[1], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +359,7 @@ func TestCoDesignShrinksDesigns(t *testing.T) {
 // aggressive designs.
 func TestIsolatedPrefersParallel(t *testing.T) {
 	k := kernelOf(t, "stencil-stencil3d")
-	space, err := Sweep(context.Background(), k, SpadConfigs(soc.DefaultConfig(),
-		soc.Isolated, []int{1, 16}, []int{16}), SweepOptions{})
+	space, err := Sweep(context.Background(), k, spadGrid(soc.Isolated, []int{1, 16}, []int{16}), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +378,7 @@ func TestIsolatedPrefersParallel(t *testing.T) {
 
 func TestFastestUnderPower(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	space, err := Sweep(context.Background(), k, SpadConfigs(soc.DefaultConfig(),
-		soc.DMA, DefaultLanes(), []int{1, 4, 16}), SweepOptions{})
+	space, err := Sweep(context.Background(), k, spadGrid(soc.DMA, DefaultLanes(), []int{1, 4, 16}), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +411,7 @@ func TestFastestUnderPower(t *testing.T) {
 
 func TestLowestPowerWithin(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	space, err := Sweep(context.Background(), k, SpadConfigs(soc.DefaultConfig(),
-		soc.DMA, DefaultLanes(), []int{1, 4, 16}), SweepOptions{})
+	space, err := Sweep(context.Background(), k, spadGrid(soc.DMA, DefaultLanes(), []int{1, 4, 16}), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +439,7 @@ func TestLowestPowerWithin(t *testing.T) {
 // genuinely invalid config still fails it.
 func TestSweepSkipsPoisonedPoints(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+	cfgs := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4})
 	poisoned := 0
 	for i := range cfgs {
 		if i%2 == 1 {

@@ -21,7 +21,7 @@ import (
 // the callers interleave.
 func TestEvaluatorSharedAcrossCallers(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	grid := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 2, 4}, []int{1, 2})
+	grid := spadGrid(soc.DMA, []int{1, 2, 4}, []int{1, 2})
 	want, err := Sweep(context.Background(), k, grid, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)

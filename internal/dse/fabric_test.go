@@ -7,28 +7,30 @@ import (
 	"gem5aladdin/internal/soc"
 )
 
-// TestWithFabricsReplicatesGrid checks the axis algebra: WithFabrics
-// multiplies the grid kind-major without disturbing the base configs.
-func TestWithFabricsReplicatesGrid(t *testing.T) {
-	base := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
+// TestGridFabricAxisFirst checks the axis algebra: GridAxes puts a fabric
+// axis first, so the walk replicates the grid kind-major without disturbing
+// the other fields, and an empty kind list leaves the grid as it was.
+func TestGridFabricAxisFirst(t *testing.T) {
+	base := soc.DefaultConfig()
+	grid := SearchSpace{Base: base, Axes: GridAxes(soc.DMA, false, nil)}.Grid()
 	kinds := soc.FabricKinds()
-	cfgs := WithFabrics(base, kinds)
-	if len(cfgs) != len(base)*len(kinds) {
-		t.Fatalf("grid size = %d, want %d", len(cfgs), len(base)*len(kinds))
+	cfgs := SearchSpace{Base: base, Axes: GridAxes(soc.DMA, false, kinds)}.Grid()
+	if len(cfgs) != len(grid)*len(kinds) {
+		t.Fatalf("grid size = %d, want %d", len(cfgs), len(grid)*len(kinds))
 	}
 	for i, c := range cfgs {
-		wantKind := kinds[i/len(base)]
+		wantKind := kinds[i/len(grid)]
 		if c.Fabric.Kind != wantKind {
 			t.Fatalf("config %d has fabric %v, want %v", i, c.Fabric.Kind, wantKind)
 		}
-		want := base[i%len(base)]
+		want := grid[i%len(grid)]
 		want.Fabric.Kind = wantKind
 		if c != want {
 			t.Fatalf("config %d diverged from its base beyond the fabric kind", i)
 		}
 	}
-	if got := WithFabrics(base, nil); len(got) != len(base) {
-		t.Fatalf("empty kind list changed the grid: %d vs %d", len(got), len(base))
+	if got := GridAxes(soc.DMA, false, nil); len(got) != 2 {
+		t.Fatalf("empty kind list added an axis: %v", got)
 	}
 }
 
@@ -38,8 +40,11 @@ func TestWithFabricsReplicatesGrid(t *testing.T) {
 // differently.
 func TestSweepFabricAxisWorkerInvariant(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	base := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4})
-	cfgs := WithFabrics(base, soc.FabricKinds())
+	cfgs := SearchSpace{Base: soc.DefaultConfig(), Axes: []SearchAxis{
+		FabricAxis(),
+		{Name: "lanes", Values: []int{1, 4}},
+		{Name: "partitions", Values: []int{1, 4}},
+	}}.Grid()
 
 	serial, err := Sweep(context.Background(), k, cfgs, SweepOptions{Workers: 1})
 	if err != nil {
@@ -62,7 +67,7 @@ func TestSweepFabricAxisWorkerInvariant(t *testing.T) {
 
 	// The same accelerator design must not be priced identically by every
 	// interconnect: compare the first base config across the three kinds.
-	per := len(base)
+	per := len(cfgs) / 3
 	r0 := serial[0*per].Res.Runtime
 	if serial[1*per].Res.Runtime == r0 && serial[2*per].Res.Runtime == r0 {
 		t.Error("crossbar and mesh runtimes both equal the bus runtime: fabric axis is inert")

@@ -24,21 +24,13 @@ func gridDigest(cfgs []soc.Config) string {
 func goldenGrid(mem soc.MemKind, full bool, fabrics []soc.FabricKind, busBits int) []soc.Config {
 	base := soc.DefaultConfig()
 	base.BusWidthBits = busBits
-	axes := QuickAxes()
-	if full {
-		axes = FullAxes()
-	}
-	axes.Fabrics = fabrics
-	return GridConfigs(base, mem, axes)
+	base.Mem = mem
+	return SearchSpace{Base: base, Axes: GridAxes(mem, full, fabrics)}.Grid()
 }
 
 // goldenScenario is one design scenario's grid, quick or full.
 func goldenScenario(sc Scenario, full bool) []soc.Config {
-	axes := QuickAxes()
-	if full {
-		axes = FullAxes()
-	}
-	return ScenarioConfigs(sc, axes)
+	return sc.Space(full).Grid()
 }
 
 // TestGridGolden pins every grid the Fig 3 table expands to, point for

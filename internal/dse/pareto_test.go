@@ -108,7 +108,7 @@ func TestParetoFrontDuplicatesSurvive(t *testing.T) {
 // that ends at the full count.
 func TestSweepWorkerCountInvariant(t *testing.T) {
 	k := kernelOf(t, "spmv-crs")
-	cfgs := SpadConfigs(soc.DefaultConfig(), soc.DMA, []int{1, 4}, []int{1, 4, 16})
+	cfgs := spadGrid(soc.DMA, []int{1, 4}, []int{1, 4, 16})
 	serial, err := Sweep(context.Background(), k, cfgs, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/soc"
@@ -28,33 +28,58 @@ import (
 
 // SearchAxis is one named dimension of a SearchSpace: a design parameter and
 // the ordered list of values it may take. Axis names come from the fixed
-// registry below (axisSetters); SearchSpace.Validate rejects unknown names,
-// so a space description survives serialization without carrying code.
+// registry below (setAxis); SearchSpace.Validate rejects unknown names, so a
+// space description survives serialization without carrying code.
 type SearchAxis struct {
 	Name   string `json:"name"`
 	Values []int  `json:"values"`
 }
 
-// axisSetters maps axis names to Config fields. Values are plain ints on the
-// wire; boolean axes treat nonzero as true, accel_mhz scales to Hz.
-var axisSetters = map[string]func(*soc.Config, int){
-	"lanes":         func(c *soc.Config, v int) { c.Lanes = v },
-	"partitions":    func(c *soc.Config, v int) { c.Partitions = v },
-	"spad_ports":    func(c *soc.Config, v int) { c.SpadPorts = v },
-	"cache_kb":      func(c *soc.Config, v int) { c.CacheKB = v },
-	"cache_line":    func(c *soc.Config, v int) { c.CacheLineBytes = v },
-	"cache_ports":   func(c *soc.Config, v int) { c.CachePorts = v },
-	"cache_assoc":   func(c *soc.Config, v int) { c.CacheAssoc = v },
-	"mshrs":         func(c *soc.Config, v int) { c.MSHRs = v },
-	"prefetch":      func(c *soc.Config, v int) { c.Prefetch = v != 0 },
-	"pipelined_dma": func(c *soc.Config, v int) { c.PipelinedDMA = v != 0 },
-	"dma_triggered": func(c *soc.Config, v int) { c.DMATriggered = v != 0 },
-	"dma_chunk":     func(c *soc.Config, v int) { c.DMAChunkBytes = uint32(v) },
-	"bus_bits":      func(c *soc.Config, v int) { c.BusWidthBits = v },
-	"accel_mhz":     func(c *soc.Config, v int) { c.AccelHz = float64(v) * 1e6 },
-	"fabric":        func(c *soc.Config, v int) { c.Fabric.Kind = soc.FabricKind(v) },
-	"burst_len":     func(c *soc.Config, v int) { c.Fabric.BurstLen = v },
-	"mesh_dim":      func(c *soc.Config, v int) { c.Fabric.MeshDim = v },
+// setAxis sets the Config field the axis name registers and reports whether
+// the name is registered. Values are plain ints on the wire; boolean axes
+// treat nonzero as true, accel_mhz scales to Hz. A switch rather than a
+// table of setter closures: an indirect call would move every config the
+// caller sets to the heap, one allocation per grid point.
+func setAxis(c *soc.Config, name string, v int) bool {
+	switch name {
+	case "lanes":
+		c.Lanes = v
+	case "partitions":
+		c.Partitions = v
+	case "spad_ports":
+		c.SpadPorts = v
+	case "cache_kb":
+		c.CacheKB = v
+	case "cache_line":
+		c.CacheLineBytes = v
+	case "cache_ports":
+		c.CachePorts = v
+	case "cache_assoc":
+		c.CacheAssoc = v
+	case "mshrs":
+		c.MSHRs = v
+	case "prefetch":
+		c.Prefetch = v != 0
+	case "pipelined_dma":
+		c.PipelinedDMA = v != 0
+	case "dma_triggered":
+		c.DMATriggered = v != 0
+	case "dma_chunk":
+		c.DMAChunkBytes = uint32(v)
+	case "bus_bits":
+		c.BusWidthBits = v
+	case "accel_mhz":
+		c.AccelHz = float64(v) * 1e6
+	case "fabric":
+		c.Fabric.Kind = soc.FabricKind(v)
+	case "burst_len":
+		c.Fabric.BurstLen = v
+	case "mesh_dim":
+		c.Fabric.MeshDim = v
+	default:
+		return false
+	}
+	return true
 }
 
 // FabricAxis is the fabric-topology search axis over every backend
@@ -80,11 +105,11 @@ func WithFabricAxis(axes []SearchAxis, kinds []soc.FabricKind) []SearchAxis {
 	return append(axes[:len(axes):len(axes)], SearchAxis{Name: "fabric", Values: vals})
 }
 
-// SearchSpace describes a design space for adaptive search: a base config
+// SearchSpace is the one description of a design space: a base config
 // (memory kind, bus, faults, everything the axes leave alone) and the axes
-// the search varies. It is a superset of the grid sweeper's SweepAxes — any
-// Config field with a registered axis name can become a search dimension —
-// and its cross product routinely reaches 10^5-10^6 points.
+// that vary. Any Config field with a registered axis name can be an axis. A
+// sweep walks a space exhaustively (Grid over GridAxes, the Fig 3 table); an
+// adaptive search samples one whose cross product reaches 10^5-10^6 points.
 type SearchSpace struct {
 	Base soc.Config
 	Axes []SearchAxis
@@ -101,7 +126,7 @@ func (sp SearchSpace) Validate() error {
 	seen := make(map[string]bool, len(sp.Axes))
 	size := uint64(1)
 	for _, a := range sp.Axes {
-		if _, ok := axisSetters[a.Name]; !ok {
+		if !setAxis(&soc.Config{}, a.Name, 0) {
 			return fmt.Errorf("dse: unknown search axis %q", a.Name)
 		}
 		if seen[a.Name] {
@@ -134,9 +159,37 @@ func (sp SearchSpace) Size() uint64 {
 func (sp SearchSpace) Config(idx []int) soc.Config {
 	c := sp.Base
 	for i, a := range sp.Axes {
-		axisSetters[a.Name](&c, a.Values[idx[i]])
+		setAxis(&c, a.Name, a.Values[idx[i]])
 	}
 	return c
+}
+
+// Grid walks the whole cross product as an odometer, in rank order (the
+// last axis varies fastest), and keeps the points Config.Validate accepts —
+// the rule the search applies to its candidates, so an infeasible corner
+// such as a 2 KB, 64 B-line, 16-way cache is skipped. It is how a sweep
+// enumerates a grid: every point is visited, so validate and bound the
+// space (Validate, Size) before walking one a client described.
+func (sp SearchSpace) Grid() []soc.Config {
+	n := sp.Size()
+	if n == 0 {
+		return nil
+	}
+	out := make([]soc.Config, 0, n)
+	idx := make([]int, len(sp.Axes))
+	for {
+		if c := sp.Config(idx); c.Validate() == nil {
+			out = append(out, c)
+		}
+		i := len(idx) - 1
+		for ; i >= 0 && idx[i]+1 == len(sp.Axes[i].Values); i-- {
+			idx[i] = 0
+		}
+		if i < 0 {
+			return out
+		}
+		idx[i]++
+	}
 }
 
 // Rank maps axis indices to the point's lexicographic rank in the cross
@@ -499,7 +552,7 @@ func (ev *Evaluator) Search(ctx context.Context, kernel string, k *soc.Compiled,
 		}
 
 		newFront := frontOf(archive)
-		if sameFront(front, newFront, archive) {
+		if slices.Equal(front, newFront) {
 			stale++
 		} else {
 			stale = 0
@@ -621,56 +674,16 @@ func mutate(rng *searchRNG, space SearchSpace, parent []int) []int {
 }
 
 // frontOf returns the archive indices of the (runtime, power) Pareto front
-// among non-failed entries, sorted by (runtime, power, archive order) — the
-// same dominance and tie rules as Space.ParetoFront, so exact duplicates
-// survive together.
+// among non-failed entries, sorted by (runtime, power, archive order): the
+// sweep of Space.ParetoFront, so exact duplicates survive together.
 func frontOf(archive []candidate) []int {
-	var order []int
+	objs := make([]objective, 0, len(archive))
 	for i := range archive {
-		if !archive[i].Failed {
-			order = append(order, i)
+		if p := &archive[i].SearchPoint; !p.Failed {
+			objs = append(objs, objective{runtime: p.Runtime, power: p.PowerW, index: i})
 		}
 	}
-	if len(order) == 0 {
-		return nil
-	}
-	sort.Slice(order, func(a, b int) bool {
-		p, q := &archive[order[a]].SearchPoint, &archive[order[b]].SearchPoint
-		if p.Runtime != q.Runtime {
-			return p.Runtime < q.Runtime
-		}
-		if p.PowerW != q.PowerW {
-			return p.PowerW < q.PowerW
-		}
-		return order[a] < order[b]
-	})
-	var front []int
-	minPower := archive[order[0]].PowerW
-	minPowerRuntime := archive[order[0]].Runtime
-	for _, idx := range order {
-		p := &archive[idx].SearchPoint
-		dominated := minPower < p.PowerW ||
-			(minPower == p.PowerW && minPowerRuntime < p.Runtime)
-		if !dominated {
-			front = append(front, idx)
-		}
-		if p.PowerW < minPower {
-			minPower, minPowerRuntime = p.PowerW, p.Runtime
-		}
-	}
-	return front
-}
-
-func sameFront(a, b []int, _ []candidate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return paretoFront(objs)
 }
 
 // frontPoints snapshots the current front in compact form for progress

@@ -125,6 +125,22 @@ func TestSearchSpaceValidate(t *testing.T) {
 	}
 }
 
+// TestGridAllocs gates the grid walk: over the full Fig 3 cache grid crossed
+// with every fabric (2,160 points) it allocates its result and its odometer
+// and nothing per point. Setting an axis through an indirect call would move
+// each point's config to the heap.
+func TestGridAllocs(t *testing.T) {
+	base := soc.DefaultConfig()
+	base.Mem = soc.Cache
+	sp := SearchSpace{Base: base, Axes: GridAxes(soc.Cache, true, soc.FabricKinds())}
+	if n := len(sp.Grid()); n != 2160 {
+		t.Fatalf("grid has %d points, want 2160", n)
+	}
+	if a := testing.AllocsPerRun(10, func() { sp.Grid() }); a > 2 {
+		t.Errorf("Grid allocates %.0f times, want <= 2", a)
+	}
+}
+
 // TestSearchDeterministic pins the determinism contract: the same seed over
 // the same space yields a bit-identical evaluation sequence and final front,
 // regardless of worker count.

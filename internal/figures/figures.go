@@ -88,13 +88,6 @@ func pctOf(part, whole sim.Tick) float64 {
 	return 100 * float64(part) / float64(whole)
 }
 
-func axes(quick bool) dse.SweepAxes {
-	if quick {
-		return dse.QuickAxes()
-	}
-	return dse.FullAxes()
-}
-
 // Fig1 regenerates the motivating stencil3d design-space comparison:
 // isolated vs co-designed (DMA, 32-bit bus) scatter with EDP optima.
 func Fig1(w io.Writer, quick bool) error {
@@ -102,10 +95,11 @@ func Fig1(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	opt := axes(quick)
 	fmt.Fprintln(w, "Figure 1: stencil3d design space, isolated vs co-designed (DMA/32b)")
 	for _, mem := range []soc.MemKind{soc.Isolated, soc.DMA} {
-		cfgs := dse.SpadConfigs(soc.DefaultConfig(), mem, opt.Lanes, opt.Partitions)
+		base := soc.DefaultConfig()
+		base.Mem = mem
+		cfgs := dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, !quick, nil)}.Grid()
 		space, err := dse.Sweep(context.Background(), k, cfgs, dse.SweepOptions{})
 		if err != nil {
 			return err
@@ -457,7 +451,6 @@ func Fig7(w io.Writer, quick bool) error {
 // cache-based designs with EDP optima marked.
 func Fig8(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Figure 8: power-performance Pareto curves, DMA vs cache")
-	opt := axes(quick)
 	tb := stats.NewTable("benchmark", "memsys", "lanes", "local", "time(us)",
 		"power(mW)", "EDP(nJ*s)", "")
 	for _, name := range Fig8Benchmarks() {
@@ -466,13 +459,9 @@ func Fig8(w io.Writer, quick bool) error {
 			return err
 		}
 		for _, mem := range []soc.MemKind{soc.DMA, soc.Cache} {
-			var cfgs []soc.Config
-			if mem == soc.DMA {
-				cfgs = dse.SpadConfigs(soc.DefaultConfig(), soc.DMA, opt.Lanes, opt.Partitions)
-			} else {
-				cfgs = dse.CacheConfigs(soc.DefaultConfig(), opt.Lanes, opt.CacheKB,
-					opt.CacheLines, opt.CachePorts, opt.CacheAssoc)
-			}
+			base := soc.DefaultConfig()
+			base.Mem = mem
+			cfgs := dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, !quick, nil)}.Grid()
 			space, err := dse.Sweep(context.Background(), k, cfgs, dse.SweepOptions{})
 			if err != nil {
 				return err
@@ -512,8 +501,8 @@ var (
 // scenarioOptima computes, per benchmark, the EDP-optimal point of each
 // design scenario (shared by Figs 9 and 10; memoized per benchmark+sweep
 // granularity since the sweeps are the expensive part).
-func scenarioOptima(name string, opt dse.SweepAxes) (map[string]dse.Point, map[string]dse.Improvement, error) {
-	key := fmt.Sprintf("%s/%d-%d-%d", name, len(opt.Lanes), len(opt.CacheKB), len(opt.CachePorts))
+func scenarioOptima(name string, quick bool) (map[string]dse.Point, map[string]dse.Improvement, error) {
+	key := fmt.Sprintf("%s/quick=%v", name, quick)
 	scenarioMu.Lock()
 	if c, ok := scenarioCache[key]; ok {
 		scenarioMu.Unlock()
@@ -525,7 +514,7 @@ func scenarioOptima(name string, opt dse.SweepAxes) (map[string]dse.Point, map[s
 		return nil, nil, err
 	}
 	scs := dse.Scenarios()
-	isoSpace, err := dse.Sweep(context.Background(), k, dse.ScenarioConfigs(scs[0], opt), dse.SweepOptions{})
+	isoSpace, err := dse.Sweep(context.Background(), k, scs[0].Space(!quick).Grid(), dse.SweepOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -536,7 +525,7 @@ func scenarioOptima(name string, opt dse.SweepAxes) (map[string]dse.Point, map[s
 	optima := map[string]dse.Point{scs[0].Name: isoBest}
 	imps := map[string]dse.Improvement{}
 	for _, sc := range scs[1:] {
-		imp, err := dse.EDPImprovement(k, isoBest, sc, opt)
+		imp, err := dse.EDPImprovement(k, isoBest, sc, !quick)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -554,11 +543,10 @@ func scenarioOptima(name string, opt dse.SweepAxes) (map[string]dse.Point, map[s
 func Fig9(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Figure 9: EDP-optimal microarchitecture parameters by scenario")
 	fmt.Fprintln(w, "(normalized to the isolated design)")
-	opt := axes(quick)
 	tb := stats.NewTable("benchmark", "scenario", "lanes", "sramKB", "localBW(B/cyc)",
 		"lanes/iso", "sram/iso", "bw/iso")
 	for _, name := range Fig8Benchmarks() {
-		optima, _, err := scenarioOptima(name, opt)
+		optima, _, err := scenarioOptima(name, quick)
 		if err != nil {
 			return err
 		}
@@ -596,12 +584,11 @@ func Summary(w io.Writer, quick bool) error {
 		errs = append(errs, golden.Compare(r, golden.Predict(k.Graph(), cfg)).TotalPct)
 	}
 
-	opt := axes(quick)
 	ratios := map[string][]float64{}
 	var maxRatio float64
 	var maxAt string
 	for _, name := range Fig8Benchmarks() {
-		_, imps, err := scenarioOptima(name, opt)
+		_, imps, err := scenarioOptima(name, quick)
 		if err != nil {
 			return err
 		}
@@ -629,12 +616,11 @@ func Summary(w io.Writer, quick bool) error {
 // deployed naively in each system scenario vs co-designed optima.
 func Fig10(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Figure 10: EDP improvement of co-designed over isolated designs")
-	opt := axes(quick)
 	scs := dse.Scenarios()[1:]
 	tb := stats.NewTable("benchmark", scs[0].Name, scs[1].Name, scs[2].Name)
 	ratios := map[string][]float64{}
 	for _, name := range Fig8Benchmarks() {
-		_, imps, err := scenarioOptima(name, opt)
+		_, imps, err := scenarioOptima(name, quick)
 		if err != nil {
 			return err
 		}

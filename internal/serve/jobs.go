@@ -47,10 +47,9 @@ type jobManifest struct {
 // Both kinds share one lifecycle: the job goroutine publishes each NDJSON
 // stream line once it is final, and GET /jobs/{id}/results tails the lines.
 type job struct {
-	id      string
-	req     SweepRequest
-	cfgs    []soc.Config // grid jobs only
-	points  int          // grid size, or the clamped search budget
+	id  string
+	req SweepRequest
+	expansion
 	created time.Time
 	resumed bool
 
@@ -72,9 +71,10 @@ type job struct {
 	round, frontSize, simulated int
 }
 
-// newJob builds a running job's in-memory record.
-func newJob(id string, req SweepRequest, cfgs []soc.Config, points int, created time.Time) *job {
-	return &job{id: id, req: req, cfgs: cfgs, points: points, created: created,
+// newJob builds a running job's in-memory record around its expanded
+// request.
+func newJob(id string, req SweepRequest, x expansion, created time.Time) *job {
+	return &job{id: id, req: req, expansion: x, created: created,
 		state: jobRunning, done: make(chan struct{}), update: make(chan struct{})}
 }
 
@@ -252,20 +252,6 @@ func (s *Server) finishJob(j *job, state, errMsg string) {
 	}
 }
 
-// expandJob validates a job request and sizes it: a grid's design points,
-// or a search's clamped budget (searches carry no expanded grid; their
-// space is re-derived from the request when they run).
-func (s *Server) expandJob(req SweepRequest) ([]soc.Config, int, error) {
-	if req.Search != nil {
-		if _, err := s.searchSpace(req); err != nil {
-			return nil, 0, err
-		}
-		return nil, s.searchBudget(req.Search), nil
-	}
-	cfgs, err := req.Configs()
-	return cfgs, len(cfgs), err
-}
-
 // resumeJobs replays the store's manifests at boot: every job left
 // "running" by a previous process is resubmitted under its original ID. The
 // already-simulated points come straight back from the store (and a
@@ -284,8 +270,8 @@ func (s *Server) resumeJobs() {
 		if err := json.Unmarshal(data, &m); err != nil || m.State != jobRunning {
 			continue
 		}
-		cfgs, points, err := s.expandJob(m.Request)
-		j := newJob(m.ID, m.Request, cfgs, points, m.Created)
+		x, err := m.Request.expand(s.opt.PointBudget, s.opt.MaxSearchBudget)
+		j := newJob(m.ID, m.Request, x, m.Created)
 		if err != nil {
 			// The request no longer expands (schema drift, or a space a
 			// newer validator rejects): fail it durably rather than
@@ -303,7 +289,7 @@ func (s *Server) resumeJobs() {
 		s.jobsResumed.Add(1)
 		if lg := s.opt.Logger; lg != nil {
 			lg.Info("resuming interrupted job", "job", j.id,
-				"kernel", j.req.Kernel, "points", points)
+				"kernel", j.req.Kernel, "points", j.points)
 		}
 		s.startJob(j)
 	}
@@ -386,7 +372,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate now, so a bad request fails at submission rather than
 	// inside the job goroutine.
-	cfgs, points, err := s.expandJob(req)
+	x, err := req.expand(s.opt.PointBudget, s.opt.MaxSearchBudget)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -411,13 +397,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	j := newJob(id, req, cfgs, points, time.Now())
+	j := newJob(id, req, x, time.Now())
 	s.jobsSubmitted.Add(1)
 	s.putManifest(j, jobRunning, "")
 	s.startJob(j)
 	if lg := s.opt.Logger; lg != nil {
 		lg.Info("job submitted", "job", id, "kernel", req.Kernel,
-			"points", points, "search", req.Search != nil)
+			"points", x.points, "search", req.Search != nil)
 	}
 
 	w.Header().Set("Content-Type", "application/json")
@@ -427,7 +413,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	reply := map[string]any{
 		"job_id": id,
 		"state":  jobRunning,
-		"points": points,
+		"points": x.points,
 	}
 	if req.Search != nil {
 		reply["kind"] = "search"

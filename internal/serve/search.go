@@ -8,7 +8,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"gem5aladdin/internal/dse"
 	"gem5aladdin/internal/obs"
@@ -38,50 +37,6 @@ type SearchSpec struct {
 	Patience int `json:"patience,omitempty"`
 	// Axes names the searched dimensions (see dse.SearchAxis).
 	Axes []dse.SearchAxis `json:"axes,omitempty"`
-}
-
-// searchSpace expands a search request into the dse.SearchSpace it runs
-// over. The server's per-point watchdog budget is folded into the base
-// config (the grid path applies it per worker instead), so it participates
-// in point keys and the checkpoint fingerprint: restarting the server with a
-// different -point-timeout starts the search fresh rather than resuming
-// against differently-budgeted results.
-func (s *Server) searchSpace(req SweepRequest) (dse.SearchSpace, error) {
-	kind, err := soc.ParseMemKind(req.Mem)
-	if err != nil {
-		return dse.SearchSpace{}, fmt.Errorf("serve: %w", err)
-	}
-	base, err := req.baseConfig()
-	if err != nil {
-		return dse.SearchSpace{}, err
-	}
-	base.Mem = kind
-	if s.opt.PointBudget > 0 && base.WatchdogTicks == 0 {
-		base.WatchdogTicks = s.opt.PointBudget
-	}
-	axes := req.Search.Axes
-	if len(axes) == 0 {
-		axes = dse.DefaultSearchAxes(kind)
-	}
-	// A top-level fabric list adds the fabric axis to the search (unless
-	// the spec already names one), mirroring the grid path's crossing.
-	kinds, err := req.fabricKinds()
-	if err != nil {
-		return dse.SearchSpace{}, err
-	}
-	sp := dse.SearchSpace{Base: base, Axes: dse.WithFabricAxis(axes, kinds)}
-	if err := sp.Validate(); err != nil {
-		return dse.SearchSpace{}, err
-	}
-	return sp, nil
-}
-
-// searchBudget applies the server clamp to a request's budget.
-func (s *Server) searchBudget(spec *SearchSpec) int {
-	if spec.Budget <= 0 || spec.Budget > s.opt.MaxSearchBudget {
-		return s.opt.MaxSearchBudget
-	}
-	return spec.Budget
 }
 
 // searchRoundLine is one NDJSON line of a search job's result stream: the
@@ -149,10 +104,6 @@ func searchRoundOf(sp dse.SearchSpace, p dse.SearchProgress) *searchRoundLine {
 // on a resumed job — then the summary. With a store, the frontier
 // checkpoints under search/<id> after every round.
 func (s *Server) runSearch(ctx context.Context, j *job, k *soc.Compiled) error {
-	sp, err := s.searchSpace(j.req)
-	if err != nil {
-		return err
-	}
 	spec := j.req.Search
 	opts := dse.SearchOptions{
 		Seed:        spec.Seed,
@@ -172,7 +123,7 @@ func (s *Server) runSearch(ctx context.Context, j *job, k *soc.Compiled) error {
 			s.searchPoints.Add(uint64(d))
 			lastSim = p.Simulated
 		}
-		s.publish(j, searchRoundOf(sp, p), func() {
+		s.publish(j, searchRoundOf(j.space, p), func() {
 			j.round = p.Round + 1
 			j.completed = p.Evaluated
 			j.simulated = p.Simulated
@@ -188,7 +139,7 @@ func (s *Server) runSearch(ctx context.Context, j *job, k *soc.Compiled) error {
 		defer root.EndSpan()
 		ctx = obs.WithSpan(ctx, root)
 	}
-	res, err := s.eval.Search(ctx, j.req.Kernel, k, sp, opts)
+	res, err := s.eval.Search(ctx, j.req.Kernel, k, j.space, opts)
 	if err != nil {
 		return err
 	}

@@ -453,40 +453,6 @@ func (f FaultSpec) Config() fault.Config {
 	}
 }
 
-// baseConfig assembles the validated base design point every grid or search
-// point derives from: bus width, fault injection, and watchdog budget.
-func (req SweepRequest) baseConfig() (soc.Config, error) {
-	base := soc.DefaultConfig()
-	if req.BusBits != 0 {
-		base.BusWidthBits = req.BusBits
-	}
-	if req.Faults != nil {
-		base.Faults = req.Faults.Config()
-	}
-	if req.WatchdogTicks != 0 {
-		base.WatchdogTicks = sim.Tick(req.WatchdogTicks)
-	}
-	base.Fabric.MeshDim = req.MeshDim
-	base.Fabric.BurstLen = req.BurstLen
-	if err := base.Validate(); err != nil {
-		return soc.Config{}, err
-	}
-	return base, nil
-}
-
-// fabricKinds parses the request's fabric axis into backend kinds.
-func (req SweepRequest) fabricKinds() ([]soc.FabricKind, error) {
-	kinds := make([]soc.FabricKind, 0, len(req.Fabrics))
-	for _, name := range req.Fabrics {
-		k, err := soc.ParseFabricKind(name)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
-}
-
 // Configs expands the request into its design-point grid, exactly as
 // cmd/dse would build it. Exported so tests can replay the same grid
 // through dse.Sweep and demand bit-identical results.
@@ -494,54 +460,98 @@ func (req SweepRequest) Configs() ([]soc.Config, error) {
 	if req.Search != nil {
 		return nil, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
 	}
+	x, err := req.expand(0, 0)
+	return x.cfgs, err
+}
+
+// expansion is a request expanded into the design space it walks. A grid
+// walks all of it, so cfgs holds every point Config.Validate accepts, in
+// rank order; a search samples it, up to its clamped budget.
+type expansion struct {
+	space  dse.SearchSpace
+	cfgs   []soc.Config // grid requests only
+	points int          // len(cfgs), or the search budget
+}
+
+// expand is the one request→space expansion that /sweep, grid jobs and
+// search jobs share. The base config carries the memory kind, bus width,
+// fabric parameters, faults and watchdog. A grid's axes are the Fig 3 table,
+// quick or full, with the lanes…cache_assoc fields overriding axes by name;
+// a search's are its spec's axes, or the default large space for the
+// memory kind, and its budget is clamped to maxSearch. A fabric list adds
+// the fabric axis to either. budget is the server's point budget: folded
+// into a search's base config, it is part of every point key and of the
+// checkpoint fingerprint, so restarting with a different -point-timeout
+// starts the search fresh rather than resuming against differently
+// budgeted results.
+func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error) {
 	kind, err := soc.ParseMemKind(req.Mem)
 	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return expansion{}, fmt.Errorf("serve: %w", err)
 	}
-	base, err := req.baseConfig()
-	if err != nil {
-		return nil, err
+	base := soc.DefaultConfig()
+	if req.BusBits != 0 {
+		base.BusWidthBits = req.BusBits
 	}
-	opt := dse.QuickAxes()
-	if req.Full {
-		opt = dse.FullAxes()
+	if req.Faults != nil {
+		base.Faults = req.Faults.Config()
 	}
-	if len(req.Lanes) > 0 {
-		opt.Lanes = req.Lanes
+	base.WatchdogTicks = sim.Tick(req.WatchdogTicks)
+	base.Fabric.MeshDim = req.MeshDim
+	base.Fabric.BurstLen = req.BurstLen
+	if err := base.Validate(); err != nil {
+		return expansion{}, err
 	}
-	if len(req.Partitions) > 0 {
-		opt.Partitions = req.Partitions
+	base.Mem = kind
+	kinds := make([]soc.FabricKind, len(req.Fabrics))
+	for i, name := range req.Fabrics {
+		if kinds[i], err = soc.ParseFabricKind(name); err != nil {
+			return expansion{}, fmt.Errorf("serve: %w", err)
+		}
 	}
-	if len(req.CacheKB) > 0 {
-		opt.CacheKB = req.CacheKB
+
+	x := expansion{space: dse.SearchSpace{Base: base}}
+	if req.Search != nil {
+		if x.space.Base.WatchdogTicks == 0 {
+			x.space.Base.WatchdogTicks = budget
+		}
+		x.space.Axes = req.Search.Axes
+		if len(x.space.Axes) == 0 {
+			x.space.Axes = dse.DefaultSearchAxes(kind)
+		}
+		x.space.Axes = dse.WithFabricAxis(x.space.Axes, kinds)
+		x.points = req.Search.Budget
+		if x.points <= 0 || x.points > maxSearch {
+			x.points = maxSearch
+		}
+		return x, x.space.Validate()
 	}
-	if len(req.CacheLines) > 0 {
-		opt.CacheLines = req.CacheLines
+	x.space.Axes = dse.GridAxes(kind, req.Full, kinds)
+	overrides := map[string][]int{"lanes": req.Lanes, "partitions": req.Partitions,
+		"cache_kb": req.CacheKB, "cache_line": req.CacheLines,
+		"cache_ports": req.CachePorts, "cache_assoc": req.CacheAssoc}
+	for i, a := range x.space.Axes {
+		if v := overrides[a.Name]; len(v) > 0 {
+			x.space.Axes[i].Values = v
+		}
 	}
-	if len(req.CachePorts) > 0 {
-		opt.CachePorts = req.CachePorts
-	}
-	if len(req.CacheAssoc) > 0 {
-		opt.CacheAssoc = req.CacheAssoc
-	}
-	if opt.Fabrics, err = req.fabricKinds(); err != nil {
-		return nil, err
-	}
-	cfgs := dse.GridConfigs(base, kind, opt)
-	if kind != soc.Cache {
-		// The cache expansion prunes illegal geometries (that is the sweep
+	x.cfgs = x.space.Grid()
+	if kind != soc.Cache && uint64(len(x.cfgs)) < x.space.Size() {
+		// The cache walk prunes illegal geometries (that is the sweep
 		// contract), so an all-illegal cache grid surfaces as the empty-grid
-		// error below; a scratchpad grid has nothing to prune.
-		for _, c := range cfgs {
-			if err := c.Validate(); err != nil {
-				return nil, err
+		// error below; a scratchpad grid has nothing legal to prune, so its
+		// first infeasible point fails the request with its ConfigError.
+		for r := uint64(0); ; r++ {
+			if err := x.space.Config(x.space.Unrank(r)).Validate(); err != nil {
+				return expansion{}, err
 			}
 		}
 	}
-	if len(cfgs) == 0 {
-		return nil, errors.New("serve: request expands to an empty design grid")
+	if len(x.cfgs) == 0 {
+		return expansion{}, errors.New("serve: request expands to an empty design grid")
 	}
-	return cfgs, nil
+	x.points = len(x.cfgs)
+	return x, nil
 }
 
 // SweepResponse is the POST /sweep reply.
