@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"gem5aladdin/internal/obs"
-	"gem5aladdin/internal/sim"
 	"gem5aladdin/internal/soc"
 	"gem5aladdin/internal/store"
 )
@@ -32,7 +31,7 @@ const KindError = "error"
 var errAbandoned = errors.New("dse: design point abandoned before simulation")
 
 // EvaluatorOptions configures an Evaluator. The zero value is a GOMAXPROCS
-// pool with no store, no retries and no watchdog default.
+// pool with no store and no retries.
 type EvaluatorOptions struct {
 	// Workers sizes the fixed pool; <= 0 selects GOMAXPROCS. Each worker
 	// owns one reused soc.Runner, so the simulation state warmed up on one
@@ -48,11 +47,6 @@ type EvaluatorOptions struct {
 	CacheEntries int
 	// Retry bounds the retries of fault-injection aborts.
 	Retry RetryPolicy
-	// PointBudget is the no-progress watchdog budget, in simulated ticks,
-	// of every point whose config leaves WatchdogTicks zero. It applies to
-	// a run-local copy of the config, so the point keeps the key its caller
-	// asked for.
-	PointBudget sim.Tick
 	// Logger receives store-write failures and slow-point warnings; nil
 	// disables logging.
 	Logger *slog.Logger
@@ -485,14 +479,11 @@ func (ev *Evaluator) evaluate(r *soc.Runner, e *entry, track int) {
 	ev.mu.Unlock()
 }
 
-// run simulates one point under the watchdog default and the retry policy.
+// run simulates one point under the retry policy.
 // Only fault-injection aborts retry: stalls and sanitizer violations are
 // deterministic properties of the config. Close ends a backoff at once, and
 // the truncated outcome is reported as interrupted.
 func (ev *Evaluator) run(r *soc.Runner, k *soc.Compiled, cfg soc.Config) (out Outcome, interrupted bool) {
-	if ev.opt.PointBudget > 0 && cfg.WatchdogTicks == 0 {
-		cfg.WatchdogTicks = ev.opt.PointBudget
-	}
 	p := ev.opt.Retry
 	for {
 		out.Attempts++

@@ -355,7 +355,19 @@ func TestSearchJobCancel(t *testing.T) {
 // simulated replays every point from the memory cache — no store involved —
 // so the server simulates each point once across both.
 func TestSearchJobSharesSweepCache(t *testing.T) {
-	s, ts := newTestServer(t, serve.Options{Workers: 2})
+	searchSharesSweepCache(t, serve.Options{Workers: 2})
+}
+
+// TestSearchJobSharesSweepCacheUnderPointBudget is the same check on a
+// server with a point budget: the budget is folded into every request's
+// points alike, so the search's point keys still match the sweep's. (When
+// only searches carried it, the search re-simulated all 4 grid points.)
+func TestSearchJobSharesSweepCacheUnderPointBudget(t *testing.T) {
+	searchSharesSweepCache(t, serve.Options{Workers: 2, PointBudget: 1e12})
+}
+
+func searchSharesSweepCache(t *testing.T, opt serve.Options) {
+	s, ts := newTestServer(t, opt)
 	grid := quickReq()
 	if code, body := postSweep(t, ts.URL, grid); code != http.StatusOK {
 		t.Fatalf("sweep: %d: %s", code, body)

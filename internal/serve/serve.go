@@ -91,12 +91,14 @@ type Options struct {
 	// jobs resume on the next boot. The server owns neither Open nor Close.
 	Store *store.Store
 	// PointBudget is the per-point no-progress watchdog budget in simulated
-	// ticks, applied to every point whose config does not set its own
-	// WatchdogTicks. A livelocked point aborts with a structured
+	// ticks, applied to every point whose request does not set its own
+	// watchdog_ticks. A livelocked point aborts with a structured
 	// *sim.StallError instead of burning its worker until the request
 	// timeout. Zero disables the budget. The budget is deliberately
 	// virtual-time, not wall-clock: the same config fails (or passes)
-	// identically on every run, which keeps resumed jobs bit-identical.
+	// identically on every run, which keeps resumed jobs bit-identical. It
+	// is folded into each point's config, so it is part of the point's key:
+	// points stored under another budget simulate afresh.
 	PointBudget sim.Tick
 	// MaxPointRetries bounds how many times a worker retries a
 	// fault-injection abort before recording the point as failed (stalls
@@ -233,7 +235,6 @@ func New(opt Options) *Server {
 			Store:        opt.Store,
 			CacheEntries: opt.CacheEntries,
 			Retry:        dse.RetryPolicy{Max: opt.MaxPointRetries, Backoff: opt.PointRetryBackoff},
-			PointBudget:  opt.PointBudget,
 			Logger:       opt.Logger,
 			SlowPoint:    opt.SlowPoint,
 		}),
@@ -454,13 +455,21 @@ func (f FaultSpec) Config() fault.Config {
 }
 
 // Configs expands the request into its design-point grid, exactly as
-// cmd/dse would build it. Exported so tests can replay the same grid
-// through dse.Sweep and demand bit-identical results.
+// cmd/dse would build it: the points /sweep evaluates on a server without a
+// point budget. Exported so tests can replay the same grid through
+// dse.Sweep and demand bit-identical results.
 func (req SweepRequest) Configs() ([]soc.Config, error) {
+	return req.grid(0)
+}
+
+// grid expands a /sweep request under the server's point budget. An
+// open-ended search does not fit the synchronous /sweep contract, so a
+// search request must be submitted as a job.
+func (req SweepRequest) grid(budget sim.Tick) ([]soc.Config, error) {
 	if req.Search != nil {
 		return nil, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
 	}
-	x, err := req.expand(0, 0)
+	x, err := req.expand(budget, 0)
 	return x.cfgs, err
 }
 
@@ -479,11 +488,14 @@ type expansion struct {
 // quick or full, with the lanes…cache_assoc fields overriding axes by name;
 // a search's are its spec's axes, or the default large space for the
 // memory kind, and its budget is clamped to maxSearch. A fabric list adds
-// the fabric axis to either. budget is the server's point budget: folded
-// into a search's base config, it is part of every point key and of the
-// checkpoint fingerprint, so restarting with a different -point-timeout
-// starts the search fresh rather than resuming against differently
-// budgeted results.
+// the fabric axis to either.
+//
+// budget is the server's point budget, the watchdog of every point whose
+// request leaves watchdog_ticks zero. It is folded into the base config, so
+// it is part of every point key and of a search's checkpoint fingerprint:
+// grids, /sweep and searches share the points they have in common, and
+// restarting with a different -point-timeout starts a search fresh rather
+// than resuming against differently budgeted results.
 func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error) {
 	kind, err := soc.ParseMemKind(req.Mem)
 	if err != nil {
@@ -497,6 +509,9 @@ func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error
 		base.Faults = req.Faults.Config()
 	}
 	base.WatchdogTicks = sim.Tick(req.WatchdogTicks)
+	if base.WatchdogTicks == 0 {
+		base.WatchdogTicks = budget
+	}
 	base.Fabric.MeshDim = req.MeshDim
 	base.Fabric.BurstLen = req.BurstLen
 	if err := base.Validate(); err != nil {
@@ -512,9 +527,6 @@ func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error
 
 	x := expansion{space: dse.SearchSpace{Base: base}}
 	if req.Search != nil {
-		if x.space.Base.WatchdogTicks == 0 {
-			x.space.Base.WatchdogTicks = budget
-		}
 		x.space.Axes = req.Search.Axes
 		if len(x.space.Axes) == 0 {
 			x.space.Axes = dse.DefaultSearchAxes(kind)
@@ -616,7 +628,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.SetAttr("kernel", req.Kernel)
-	cfgs, err := req.Configs()
+	cfgs, err := req.grid(s.opt.PointBudget)
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
