@@ -473,6 +473,13 @@ func (req SweepRequest) grid(budget sim.Tick) ([]soc.Config, error) {
 	return x.cfgs, err
 }
 
+// maxGridPoints bounds a grid request's cross product, checked before the
+// grid is enumerated: 30x the full Fig 3 cache grid crossed with every
+// fabric. Repeated axis values are accepted, so without a bound a request
+// of about a kilobyte expands to tens of thousands of configs before
+// admission, and one of a megabyte names more than 10^10.
+const maxGridPoints = 1 << 16
+
 // expansion is a request expanded into the design space it walks. A grid
 // walks all of it, so cfgs holds every point Config.Validate accepts, in
 // rank order; a search samples it, up to its clamped budget.
@@ -546,6 +553,12 @@ func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error
 		if v := overrides[a.Name]; len(v) > 0 {
 			x.space.Axes[i].Values = v
 		}
+	}
+	if err := x.space.Validate(); err != nil {
+		return expansion{}, err
+	}
+	if n := x.space.Size(); n > maxGridPoints {
+		return expansion{}, fmt.Errorf("serve: grid of %d points exceeds the limit of %d", n, maxGridPoints)
 	}
 	x.cfgs = x.space.Grid()
 	if kind != soc.Cache && uint64(len(x.cfgs)) < x.space.Size() {

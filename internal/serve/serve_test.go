@@ -337,6 +337,39 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRejected: a grid request whose cross product exceeds the
+// server's bound is a 400 from /sweep and POST /jobs alike, answered before
+// any config is enumerated. The body is about 1.3 KB — repeated axis values
+// are accepted — yet names 300 x 300 = 90,000 points.
+func TestOversizedGridRejected(t *testing.T) {
+	s, ts := newTestServer(t, serve.Options{Workers: 1})
+	req := serve.SweepRequest{Kernel: "spmv-crs", Mem: "dma",
+		Lanes: make([]int, 300), Partitions: make([]int, 300)}
+	for i := range req.Lanes {
+		req.Lanes[i] = 1
+		req.Partitions[i] = 1
+	}
+	if code, body := postSweep(t, ts.URL, req); code != http.StatusBadRequest {
+		t.Errorf("POST /sweep: status %d, want 400: %.200s", code, body)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /jobs: status %d, want 400", resp.StatusCode)
+	}
+	if snap := s.Snapshot(); snap.PointsSimulated != 0 || snap.JobsSubmitted != 0 {
+		t.Errorf("rejected grid simulated %d points and submitted %d jobs, want 0 and 0",
+			snap.PointsSimulated, snap.JobsSubmitted)
+	}
+}
+
 func TestObservabilityEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 1})
 	if code, body := postSweep(t, ts.URL, quickReq()); code != http.StatusOK {
