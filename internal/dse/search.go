@@ -167,7 +167,7 @@ func (sp SearchSpace) Config(idx []int) soc.Config {
 // Grid walks the whole cross product as an odometer, in rank order (the
 // last axis varies fastest), and keeps the points Config.Validate accepts —
 // the rule the search applies to its candidates, so an infeasible corner
-// such as a 2 KB, 64 B-line, 16-way cache is skipped. It is how a sweep
+// such as a 64-way 2 KB cache of 64 B lines is skipped. It is how a sweep
 // enumerates a grid: every point is visited, so validate and bound the
 // space (Validate, Size) before walking one a client described.
 func (sp SearchSpace) Grid() []soc.Config {
