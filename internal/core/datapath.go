@@ -24,7 +24,6 @@ import (
 	"math/bits"
 
 	"gem5aladdin/internal/ddg"
-	"gem5aladdin/internal/mem/dma"
 	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
 	"gem5aladdin/internal/trace"
@@ -135,9 +134,9 @@ func (s Stats) LaneUtilization() []float64 {
 type Result struct {
 	Start, End sim.Tick
 	Stats      Stats
-	// ComputeIntervals are the wall-clock windows in which the datapath
-	// was active, for the flush/DMA/compute runtime breakdown.
-	ComputeIntervals []dma.Interval
+	// ComputeIntervals are the windows in which the datapath was active,
+	// merged, for the flush/DMA/compute runtime breakdown.
+	ComputeIntervals []obs.Interval
 	// Schedule holds per-node issue/complete times when
 	// Config.RecordSchedule was set; nil otherwise.
 	Schedule []ScheduleEntry
@@ -197,7 +196,7 @@ type Datapath struct {
 
 	stats      Stats
 	laneOpsBuf []uint64 // backing for stats.LaneOps, reused across runs
-	intervals  []dma.Interval
+	intervals  []obs.Interval
 	lastActive uint64
 	activeOpen bool
 	sched      []ScheduleEntry
@@ -639,11 +638,11 @@ func (d *Datapath) recordActive() {
 	c := d.cycleAt()
 	if d.activeOpen && c == d.lastActive+1 || (d.activeOpen && c == d.lastActive) {
 		d.lastActive = c
-		d.intervals[len(d.intervals)-1].End = d.startTick + d.cfg.Clock.Cycles(c+1)
+		d.intervals[len(d.intervals)-1].End = uint64(d.startTick + d.cfg.Clock.Cycles(c+1))
 		return
 	}
 	start := d.startTick + d.cfg.Clock.Cycles(c)
-	d.intervals = append(d.intervals, dma.Interval{Start: start, End: start + d.cfg.Clock.Cycles(1)})
+	d.intervals = append(d.intervals, obs.Interval{Start: uint64(start), End: uint64(start + d.cfg.Clock.Cycles(1))})
 	d.activeOpen = true
 	d.lastActive = c
 }
@@ -663,7 +662,7 @@ func (d *Datapath) finish() {
 		Start:            d.startTick,
 		End:              end,
 		Stats:            st,
-		ComputeIntervals: dma.MergeIntervals(d.intervals),
+		ComputeIntervals: obs.Merge(d.intervals),
 	}
 	if d.cfg.RecordSchedule {
 		res.Schedule = d.sched

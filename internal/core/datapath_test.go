@@ -235,7 +235,7 @@ func TestComputeIntervalsCoverActivity(t *testing.T) {
 	}
 	first := res.ComputeIntervals[0]
 	last := res.ComputeIntervals[len(res.ComputeIntervals)-1]
-	if first.Start < res.Start || last.End > res.End+accelClock().Period {
+	if first.Start < uint64(res.Start) || last.End > uint64(res.End+accelClock().Period) {
 		t.Fatalf("intervals [%v,%v] outside run [%v,%v]",
 			first.Start, last.End, res.Start, res.End)
 	}

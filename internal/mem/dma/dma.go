@@ -22,7 +22,6 @@ package dma
 
 import (
 	"fmt"
-	"sort"
 
 	"gem5aladdin/internal/fault"
 	"gem5aladdin/internal/mem/bus"
@@ -90,12 +89,6 @@ type Transfer struct {
 	Load  bool // true: memory -> scratchpad (dmaLoad)
 }
 
-// Interval is a half-open activity window [Start, End).
-type Interval struct{ Start, End sim.Tick }
-
-// Duration returns the interval length.
-func (iv Interval) Duration() sim.Tick { return iv.End - iv.Start }
-
 // Stats aggregates engine activity.
 type Stats struct {
 	Descriptors      uint64
@@ -120,8 +113,8 @@ type Engine struct {
 	// wedging.
 	OnAbort func(error)
 
-	flushIvals []Interval
-	dmaIvals   []Interval
+	flushIvals []obs.Interval
+	dmaIvals   []obs.Interval
 	snoop      *snoopSupplier // non-nil when HardwareCoherent
 	stats      Stats
 	inj        *fault.Injector
@@ -198,10 +191,10 @@ func (e *Engine) RegisterStats(reg *obs.Registry, prefix string) {
 }
 
 // FlushIntervals returns the CPU flush/invalidate activity windows.
-func (e *Engine) FlushIntervals() []Interval { return e.flushIvals }
+func (e *Engine) FlushIntervals() []obs.Interval { return e.flushIvals }
 
 // DMAIntervals returns the engine's transfer activity windows.
-func (e *Engine) DMAIntervals() []Interval { return e.dmaIvals }
+func (e *Engine) DMAIntervals() []obs.Interval { return e.dmaIvals }
 
 // lines returns the CPU cache lines covering n bytes.
 func (e *Engine) lines(n uint32) uint64 {
@@ -218,13 +211,14 @@ func (e *Engine) InvalTicks(n uint32) sim.Tick {
 	return sim.Tick(e.lines(n)) * e.cfg.InvalPerLine
 }
 
-// fireFlush reports a CPU coherence-prep window. The window is computed
-// analytically at schedule time, so the span is emitted up front with its
-// known end.
-func (e *Engine) fireFlush(name string, start, end sim.Tick) {
+// flushWindow records a CPU coherence-prep window and reports it to the
+// flush probe. The window is computed analytically at schedule time, so
+// the span is emitted up front with its known end.
+func (e *Engine) flushWindow(name string, start, end sim.Tick) {
+	iv := obs.Interval{Start: uint64(start), End: uint64(end)}
+	e.flushIvals = append(e.flushIvals, iv)
 	if e.flushProbe.Enabled() {
-		e.flushProbe.Fire(obs.Event{Name: name,
-			Start: uint64(start), End: uint64(end)})
+		e.flushProbe.Fire(obs.Event{Name: name, Start: iv.Start, End: iv.End})
 	}
 }
 
@@ -305,8 +299,7 @@ func (e *Engine) LoadPhase(transfers []Transfer, done func()) {
 	chs := e.chunks(loads)
 	if len(chs) == 0 {
 		if inval > 0 {
-			e.flushIvals = append(e.flushIvals, Interval{start, start + inval})
-			e.fireFlush("invalidate", start, start+inval)
+			e.flushWindow("invalidate", start, start+inval)
 		}
 		e.eng.After(inval, done)
 		return
@@ -341,8 +334,7 @@ func (e *Engine) LoadPhase(transfers []Transfer, done func()) {
 			flushDone[i] = tcur
 		}
 	}
-	e.flushIvals = append(e.flushIvals, Interval{start, tcur})
-	e.fireFlush("flush+invalidate", start, tcur)
+	e.flushWindow("flush+invalidate", start, tcur)
 
 	// DMA timeline: serial on the engine; chunk i waits for its flush.
 	e.runChunks(chs, flushDone, false, done)
@@ -402,14 +394,14 @@ func (e *Engine) runChunks(chs []chunk, readyAt []sim.Tick, write bool, done fun
 				fin := func() {
 					e.pending--
 					e.curActive = false
-					e.dmaIvals = append(e.dmaIvals, Interval{tstart, e.eng.Now()})
+					iv := obs.Interval{Start: uint64(tstart), End: uint64(e.eng.Now())}
+					e.dmaIvals = append(e.dmaIvals, iv)
 					if e.probe.Enabled() {
 						name := "load-chunk"
 						if write {
 							name = "store-chunk"
 						}
-						e.probe.Fire(obs.Event{Name: name,
-							Start: uint64(tstart), End: uint64(e.eng.Now()),
+						e.probe.Fire(obs.Event{Name: name, Start: iv.Start, End: iv.End,
 							Lane: int32(c.t.Arr), Bytes: uint64(c.bytes)})
 					}
 					step()
@@ -479,94 +471,4 @@ func (e *Engine) issue(c chunk, write bool, fin func()) {
 		e.bus.Submit(t)
 	}
 	try()
-}
-
-// MergeIntervals unions a set of activity windows into disjoint sorted
-// intervals, for runtime breakdown accounting.
-func MergeIntervals(ivs []Interval) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sorted := make([]Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	out := []Interval{sorted[0]}
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.Start <= last.End {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// TotalDuration sums merged interval lengths.
-func TotalDuration(ivs []Interval) sim.Tick {
-	var d sim.Tick
-	for _, iv := range MergeIntervals(ivs) {
-		d += iv.Duration()
-	}
-	return d
-}
-
-// Intersect returns the pointwise intersection of two interval sets.
-func Intersect(a, b []Interval) []Interval {
-	am, bm := MergeIntervals(a), MergeIntervals(b)
-	var out []Interval
-	i, j := 0, 0
-	for i < len(am) && j < len(bm) {
-		lo := am[i].Start
-		if bm[j].Start > lo {
-			lo = bm[j].Start
-		}
-		hi := am[i].End
-		if bm[j].End < hi {
-			hi = bm[j].End
-		}
-		if lo < hi {
-			out = append(out, Interval{lo, hi})
-		}
-		if am[i].End < bm[j].End {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
-// Subtract returns a \ b as a merged interval set.
-func Subtract(a, b []Interval) []Interval {
-	am, bm := MergeIntervals(a), MergeIntervals(b)
-	var out []Interval
-	j := 0
-	for _, iv := range am {
-		cur := iv.Start
-		for j < len(bm) && bm[j].End <= cur {
-			j++
-		}
-		k := j
-		for k < len(bm) && bm[k].Start < iv.End {
-			if bm[k].Start > cur {
-				out = append(out, Interval{cur, bm[k].Start})
-			}
-			if bm[k].End > cur {
-				cur = bm[k].End
-			}
-			k++
-		}
-		if cur < iv.End {
-			out = append(out, Interval{cur, iv.End})
-		}
-	}
-	return out
-}
-
-// Union returns the merged union of two interval sets.
-func Union(a, b []Interval) []Interval {
-	return MergeIntervals(append(append([]Interval{}, a...), b...))
 }

@@ -2,10 +2,10 @@ package dma
 
 import (
 	"testing"
-	"testing/quick"
 
 	"gem5aladdin/internal/mem/bus"
 	"gem5aladdin/internal/mem/dram"
+	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
 )
 
@@ -43,8 +43,8 @@ func TestBaselineLoadSequencing(t *testing.T) {
 	}, func() { doneAt = eng.Now() })
 	eng.Run()
 
-	flush := MergeIntervals(e.FlushIntervals())
-	dmas := MergeIntervals(e.DMAIntervals())
+	flush := obs.Merge(e.FlushIntervals())
+	dmas := obs.Merge(e.DMAIntervals())
 	if len(flush) != 1 || len(dmas) != 1 {
 		t.Fatalf("intervals: flush=%v dma=%v", flush, dmas)
 	}
@@ -54,10 +54,10 @@ func TestBaselineLoadSequencing(t *testing.T) {
 			dmas[0].Start, flush[0].End)
 	}
 	wantFlush := e.InvalTicks(4096) + e.FlushTicks(4096)
-	if flush[0].Duration() != wantFlush {
-		t.Fatalf("flush window = %v, want %v", flush[0].Duration(), wantFlush)
+	if got := obs.Measure(flush); got != uint64(wantFlush) {
+		t.Fatalf("flush window = %v, want %v", got, wantFlush)
 	}
-	if doneAt != dmas[0].End {
+	if uint64(doneAt) != dmas[0].End {
 		t.Fatalf("done at %v, dma end %v", doneAt, dmas[0].End)
 	}
 	if e.Stats().Descriptors != 1 {
@@ -104,7 +104,7 @@ func TestPipelinedChunkWaitsForOwnFlush(t *testing.T) {
 		t.Fatalf("dma intervals = %d", len(dmas))
 	}
 	firstFlush := e.FlushTicks(4096)
-	if dmas[0].Start < firstFlush {
+	if dmas[0].Start < uint64(firstFlush) {
 		t.Fatalf("chunk 0 transfer at %v before its flush done %v",
 			dmas[0].Start, firstFlush)
 	}
@@ -194,123 +194,6 @@ func TestSetupOverheadCharged(t *testing.T) {
 	}
 }
 
-func TestMergeIntervals(t *testing.T) {
-	ivs := []Interval{{10, 20}, {15, 30}, {40, 50}, {50, 60}, {5, 8}}
-	m := MergeIntervals(ivs)
-	want := []Interval{{5, 8}, {10, 30}, {40, 60}}
-	if len(m) != len(want) {
-		t.Fatalf("merged = %v", m)
-	}
-	for i := range want {
-		if m[i] != want[i] {
-			t.Fatalf("merged = %v, want %v", m, want)
-		}
-	}
-	if TotalDuration(ivs) != 3+20+20 {
-		t.Fatalf("total = %v", TotalDuration(ivs))
-	}
-	if MergeIntervals(nil) != nil {
-		t.Fatal("nil merge should be nil")
-	}
-}
-
-// Property: merged intervals are disjoint, sorted, and cover exactly the
-// union of the inputs.
-func TestMergeIntervalsProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		var ivs []Interval
-		for i := 0; i+1 < len(raw); i += 2 {
-			a, b := sim.Tick(raw[i]), sim.Tick(raw[i+1])
-			if a > b {
-				a, b = b, a
-			}
-			ivs = append(ivs, Interval{a, b})
-		}
-		m := MergeIntervals(ivs)
-		for i := 1; i < len(m); i++ {
-			if m[i].Start <= m[i-1].End {
-				return false
-			}
-		}
-		// Every input point inside some merged interval.
-		for _, iv := range ivs {
-			found := false
-			for _, mm := range m {
-				if iv.Start >= mm.Start && iv.End <= mm.End {
-					found = true
-					break
-				}
-			}
-			if !found && iv.Start != iv.End {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntervalSetAlgebra(t *testing.T) {
-	a := []Interval{{0, 10}, {20, 30}}
-	b := []Interval{{5, 25}}
-	inter := Intersect(a, b)
-	want := []Interval{{5, 10}, {20, 25}}
-	if len(inter) != 2 || inter[0] != want[0] || inter[1] != want[1] {
-		t.Fatalf("intersect = %v", inter)
-	}
-	sub := Subtract(a, b)
-	wantSub := []Interval{{0, 5}, {25, 30}}
-	if len(sub) != 2 || sub[0] != wantSub[0] || sub[1] != wantSub[1] {
-		t.Fatalf("subtract = %v", sub)
-	}
-	uni := Union(a, b)
-	if len(uni) != 1 || uni[0] != (Interval{0, 30}) {
-		t.Fatalf("union = %v", uni)
-	}
-}
-
-func TestIntervalAlgebraEmpty(t *testing.T) {
-	a := []Interval{{0, 10}}
-	if got := Intersect(a, nil); got != nil {
-		t.Fatalf("intersect with empty = %v", got)
-	}
-	if got := Subtract(nil, a); got != nil {
-		t.Fatalf("empty minus a = %v", got)
-	}
-	sub := Subtract(a, nil)
-	if len(sub) != 1 || sub[0] != a[0] {
-		t.Fatalf("a minus empty = %v", sub)
-	}
-}
-
-// Property: durations obey |A| = |A∩B| + |A\B|, and |A∪B| = |A|+|B|-|A∩B|.
-func TestIntervalAlgebraProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		var a, b []Interval
-		for i := 0; i+1 < len(raw); i += 2 {
-			lo, hi := sim.Tick(raw[i]), sim.Tick(raw[i+1])
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if i%4 == 0 {
-				a = append(a, Interval{lo, hi})
-			} else {
-				b = append(b, Interval{lo, hi})
-			}
-		}
-		ta, tb := TotalDuration(a), TotalDuration(b)
-		ti := TotalDuration(Intersect(a, b))
-		ts := TotalDuration(Subtract(a, b))
-		tu := TotalDuration(Union(a, b))
-		return ta == ti+ts && tu == ta+tb-ti
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func newCoherentEngine(t *testing.T) (*sim.Engine, *Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -345,7 +228,7 @@ func TestCoherentDMANoFlush(t *testing.T) {
 		t.Fatal("no transfers")
 	}
 	setup := e.cfg.AccelClock.Cycles(e.cfg.SetupCycles)
-	if dmas[0].Start > setup+sim.Nanosecond {
+	if dmas[0].Start > uint64(setup+sim.Nanosecond) {
 		t.Fatalf("first coherent chunk started at %v, want ~%v", dmas[0].Start, setup)
 	}
 	if doneAt == 0 {

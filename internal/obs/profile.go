@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Bucket classifies where a simulated tick went in the cycle-attribution
@@ -64,16 +63,13 @@ func (b Bucket) String() string {
 	return fmt.Sprintf("Bucket(%d)", uint8(b))
 }
 
-// ival is one half-open activity window [start, end) in engine ticks.
-type ival struct{ start, end uint64 }
-
 // Profile accumulates per-bucket activity windows from the existing probe
 // points and attributes every simulated tick of a run to exactly one
 // bucket. Collection is append-only (one slice append per probe event);
 // the interval algebra runs once at Attribute time. Not safe for
 // concurrent use: one Profile observes one single-threaded simulation.
 type Profile struct {
-	ivals [NumBuckets][]ival
+	ivals [NumBuckets][]Interval
 }
 
 // NewProfile returns an empty profile.
@@ -86,7 +82,7 @@ func (p *Profile) Observe(b Bucket, start, end uint64) {
 	if end <= start {
 		return
 	}
-	p.ivals[b] = append(p.ivals[b], ival{start, end})
+	p.ivals[b] = append(p.ivals[b], Interval{start, end})
 }
 
 // Listener adapts a bucket to the probe API: subscribe it with
@@ -115,20 +111,11 @@ type Attribution struct {
 // Attribute charges every tick of [0, total) to exactly one bucket:
 // buckets claim their activity windows in priority order (earlier buckets
 // win overlaps), windows are clipped to [0, total), and unclaimed ticks
-// fall to BucketIdle. The pass is O(n log n) in recorded windows.
+// fall to BucketIdle. It is one Partition over the buckets' windows.
 func (p *Profile) Attribute(total uint64) Attribution {
 	att := Attribution{Total: total}
-	var union []ival // claimed so far, sorted, disjoint
-	for b := 0; b < int(BucketIdle); b++ {
-		m := canon(p.ivals[b], total)
-		if len(m) == 0 {
-			continue
-		}
-		att.Ticks[b] = dur(subtract(m, union))
-		union = merge(union, m)
-	}
-	claimed := dur(union)
-	att.Ticks[BucketIdle] = total - claimed
+	copy(att.Ticks[:], Partition(total, p.ivals[:BucketIdle]...))
+	att.Ticks[BucketIdle] = total - att.Sum()
 	return att
 }
 
@@ -154,94 +141,4 @@ func (a Attribution) WriteFolded(w io.Writer, root string) error {
 		}
 	}
 	return nil
-}
-
-// canon sorts a copy of ivs, clips to [0, limit), and merges overlaps,
-// returning a disjoint ascending list.
-func canon(ivs []ival, limit uint64) []ival {
-	out := make([]ival, 0, len(ivs))
-	for _, iv := range ivs {
-		if iv.start >= limit {
-			continue
-		}
-		if iv.end > limit {
-			iv.end = limit
-		}
-		out = append(out, iv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
-	return coalesce(out)
-}
-
-// coalesce merges overlapping/abutting intervals of a sorted list in
-// place.
-func coalesce(ivs []ival) []ival {
-	if len(ivs) == 0 {
-		return ivs
-	}
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.start <= last.end {
-			if iv.end > last.end {
-				last.end = iv.end
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// merge unions two disjoint sorted lists into a new disjoint sorted list.
-func merge(a, b []ival) []ival {
-	out := make([]ival, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		if j == len(b) || (i < len(a) && a[i].start <= b[j].start) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	return coalesce(out)
-}
-
-// subtract returns a minus b; both disjoint and sorted.
-func subtract(a, b []ival) []ival {
-	var out []ival
-	j := 0
-	for _, iv := range a {
-		cur := iv
-		for j < len(b) && b[j].end <= cur.start {
-			j++
-		}
-		k := j
-		for k < len(b) && b[k].start < cur.end {
-			if b[k].start > cur.start {
-				out = append(out, ival{cur.start, b[k].start})
-			}
-			if b[k].end >= cur.end {
-				cur.start = cur.end
-				break
-			}
-			cur.start = b[k].end
-			k++
-		}
-		if cur.start < cur.end {
-			out = append(out, cur)
-		}
-	}
-	return out
-}
-
-// dur sums interval lengths.
-func dur(ivs []ival) uint64 {
-	var d uint64
-	for _, iv := range ivs {
-		d += iv.end - iv.start
-	}
-	return d
 }

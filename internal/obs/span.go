@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,38 +235,18 @@ func (t *SpanTracer) WriteTraceJSON(w io.Writer, traceID string) (bool, error) {
 		return false, nil
 	}
 	epoch := spans[0].Start
-	tracks := map[int]bool{}
+	tracks := make([]int, 0, len(spans))
 	for _, s := range spans {
 		if s.Start.Before(epoch) {
 			epoch = s.Start
 		}
-		tracks[s.Track] = true
+		tracks = append(tracks, s.Track)
 	}
-	sw := &streamWriter{w: w}
-	sw.printf(`{"displayTimeUnit":"ms","traceEvents":[`)
-	first := true
-	emit := func(v any) {
-		b, err := json.Marshal(v)
-		if err != nil || sw.err != nil {
-			return
-		}
-		if !first {
-			sw.printf(",")
-		}
-		first = false
-		sw.write(b)
-	}
-	emit(traceEvent{Name: "process_name", Ph: "M", Pid: socPid, Tid: 0,
-		Args: map[string]any{"name": "sweep trace " + traceID}})
-	for tr := 0; ; tr++ {
-		if !tracks[tr] {
-			if tr > maxTrack(tracks) {
-				break
-			}
-			continue
-		}
-		emit(traceEvent{Name: "thread_name", Ph: "M", Pid: socPid, Tid: tr + 1,
-			Args: map[string]any{"name": fmt.Sprintf("track %d", tr)}})
+	slices.Sort(tracks)
+	tw := newTraceWriter(w, `{"displayTimeUnit":"ms","traceEvents":[`)
+	tw.meta("process_name", 0, "name", "sweep trace "+traceID)
+	for _, tr := range slices.Compact(tracks) {
+		tw.meta("thread_name", tr+1, "name", fmt.Sprintf("track %d", tr))
 	}
 	for _, s := range spans {
 		dur := float64(s.End.Sub(s.Start)) / float64(time.Microsecond)
@@ -288,20 +269,9 @@ func (t *SpanTracer) WriteTraceJSON(w io.Writer, traceID string) (bool, error) {
 			}
 			ev.Args = args
 		}
-		emit(ev)
+		tw.event(ev)
 	}
-	sw.printf("]}\n")
-	return true, sw.err
-}
-
-func maxTrack(tracks map[int]bool) int {
-	m := 0
-	for tr := range tracks {
-		if tr > m {
-			m = tr
-		}
-	}
-	return m
+	return true, tw.close("]}\n")
 }
 
 // spanCtxKey carries a *Span through a context.

@@ -138,67 +138,79 @@ type traceEvent struct {
 
 const socPid = 1
 
-// streamWriter accumulates the first write error so trace serialization
-// loops stay unconditional.
-type streamWriter struct {
-	w   io.Writer
-	err error
+// traceWriter streams one trace-event JSON document, the one writer
+// behind both Tracer.WriteJSON (simulated time) and
+// SpanTracer.WriteTraceJSON (wall-clock time). It writes the array
+// framing and the commas between events, and keeps the first write or
+// marshal error: after it every call is a no-op, so export loops stay
+// unconditional. Events stream to w one at a time and are never
+// materialized as one slice.
+type traceWriter struct {
+	w      io.Writer
+	err    error
+	events int
 }
 
-func (s *streamWriter) write(b []byte) {
-	if s.err == nil {
-		_, s.err = s.w.Write(b)
+// newTraceWriter starts a document with head, which opens the event
+// array.
+func newTraceWriter(w io.Writer, head string) *traceWriter {
+	tw := &traceWriter{w: w}
+	tw.write(head)
+	return tw
+}
+
+func (tw *traceWriter) write(s string) {
+	if tw.err == nil {
+		_, tw.err = io.WriteString(tw.w, s)
 	}
 }
 
-func (s *streamWriter) printf(format string, args ...any) {
-	if s.err == nil {
-		_, s.err = fmt.Fprintf(s.w, format, args...)
+// event appends one record to the array.
+func (tw *traceWriter) event(te traceEvent) {
+	if tw.err != nil {
+		return
 	}
+	b, err := json.Marshal(te)
+	if err != nil {
+		tw.err = err
+		return
+	}
+	if tw.events > 0 {
+		tw.write(",")
+	}
+	tw.events++
+	if tw.err == nil {
+		_, tw.err = tw.w.Write(b)
+	}
+}
+
+// meta appends a metadata record naming or ordering a process (tid 0)
+// or one of its threads.
+func (tw *traceWriter) meta(name string, tid int, key string, value any) {
+	tw.event(traceEvent{Name: name, Ph: "M", Pid: socPid, Tid: tid,
+		Args: map[string]any{key: value}})
+}
+
+// close writes tail, which closes the event array and the document, and
+// returns the first error.
+func (tw *traceWriter) close(tail string) error {
+	tw.write(tail)
+	return tw.err
 }
 
 // WriteJSON flushes any open merge windows and writes the whole timeline.
 // Identical runs produce byte-identical output: tracks serialize in
 // creation order, events in recording order, and metadata uses no
-// map-ordered iteration. Events stream to w one at a time — the timeline
-// is never materialized as one slice, so a long service run's memory
-// ceiling is the recorded events themselves, not a second copy at dump
-// time.
+// map-ordered iteration.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	for _, fl := range t.flushers {
 		fl()
 	}
-	sw := &streamWriter{w: w}
-	sw.printf(`{"traceEvents":[`)
-	first := true
-	emit := func(te traceEvent) {
-		if sw.err != nil {
-			return
-		}
-		b, err := json.Marshal(te)
-		if err != nil {
-			sw.err = err
-			return
-		}
-		if !first {
-			sw.printf(",")
-		}
-		first = false
-		sw.write(b)
-	}
-	emit(traceEvent{
-		Name: "process_name", Ph: "M", Pid: socPid, Tid: 0,
-		Args: map[string]any{"name": "gem5-aladdin soc"},
-	})
+	tw := newTraceWriter(w, `{"traceEvents":[`)
+	tw.meta("process_name", 0, "name", "gem5-aladdin soc")
 	for i, tr := range t.tracks {
-		emit(traceEvent{
-			Name: "thread_name", Ph: "M", Pid: socPid, Tid: tr.tid,
-			Args: map[string]any{"name": tr.name},
-		})
-		emit(traceEvent{
-			Name: "thread_sort_index", Ph: "M", Pid: socPid, Tid: tr.tid,
-			Args: map[string]any{"sort_index": i},
-		})
+		tw.meta("thread_name", tr.tid, "name", tr.name)
+		tw.meta("thread_sort_index", tr.tid, "sort_index", i)
 	}
 	for _, tr := range t.tracks {
 		for _, ev := range tr.events {
@@ -217,11 +229,10 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 				dur := float64(ev.End-ev.Start) / tickPerMicro
 				te.Dur = &dur
 			}
-			emit(te)
+			tw.event(te)
 		}
 	}
-	sw.printf("],\"displayTimeUnit\":\"ns\"}\n")
-	return sw.err
+	return tw.close("],\"displayTimeUnit\":\"ns\"}\n")
 }
 
 // eventArgs builds the args payload; JSON map keys marshal sorted, so this

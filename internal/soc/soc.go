@@ -15,6 +15,7 @@ package soc
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"gem5aladdin/internal/core"
 	"gem5aladdin/internal/cpu"
@@ -684,7 +685,7 @@ func (inst *instance) collect(pm *power.Model) (*RunResult, error) {
 	res.Faults = inst.f.inj.Stats()
 	res.FaultLog = inst.f.inj.Log()
 
-	var flushIvals, dmaIvals []dma.Interval
+	var flushIvals, dmaIvals []obs.Interval
 	if inst.engDMA != nil {
 		flushIvals = inst.engDMA.FlushIntervals()
 		dmaIvals = inst.engDMA.DMAIntervals()
@@ -896,7 +897,7 @@ func RunRepeated(k *Compiled, cfg Config, invocations int, reuseInputs bool) (*R
 	}
 	out := &RepeatResult{}
 	var accum core.Stats
-	var allIntervals []dma.Interval
+	var allIntervals []obs.Interval
 
 	roundStart := sim.Tick(0)
 	for round := 0; round < invocations; round++ {
@@ -932,7 +933,7 @@ func RunRepeated(k *Compiled, cfg Config, invocations int, reuseInputs bool) (*R
 
 	// Cumulative result over the whole sequence.
 	inst.dpResult.Stats = accum
-	inst.dpResult.ComputeIntervals = dma.MergeIntervals(allIntervals)
+	inst.dpResult.ComputeIntervals = obs.Merge(allIntervals)
 	pm := cfg.Power
 	if pm == nil {
 		pm = power.Default()
@@ -946,16 +947,16 @@ func RunRepeated(k *Compiled, cfg Config, invocations int, reuseInputs bool) (*R
 	return out, nil
 }
 
-// decompose applies the paper's interval algebra to the activity windows.
-func decompose(total sim.Tick, flush, dmaIv, comp []dma.Interval) Breakdown {
-	move := dma.Union(flush, dmaIv)
-	var b Breakdown
-	b.FlushOnly = dma.TotalDuration(dma.Subtract(dma.Subtract(flush, dmaIv), comp))
-	b.DMAFlush = dma.TotalDuration(dma.Subtract(dmaIv, comp))
-	b.ComputeDMA = dma.TotalDuration(dma.Intersect(comp, move))
-	b.ComputeOnly = dma.TotalDuration(dma.Subtract(comp, move))
-	covered := b.FlushOnly + b.DMAFlush + b.ComputeDMA + b.ComputeOnly
-	if total > covered {
+// decompose applies the paper's interval algebra to the activity windows:
+// one Partition over compute overlapped with data movement, the rest of
+// compute, DMA, then flush. It is not clipped to total, so a compute
+// window that outlasts the run still counts and Idle takes what is left.
+// comp must be merged.
+func decompose(total sim.Tick, flush, dmaIv, comp []obs.Interval) Breakdown {
+	t := obs.Partition(math.MaxUint64, obs.Intersect(comp, obs.Merge(flush, dmaIv)), comp, dmaIv, flush)
+	b := Breakdown{ComputeDMA: sim.Tick(t[0]), ComputeOnly: sim.Tick(t[1]),
+		DMAFlush: sim.Tick(t[2]), FlushOnly: sim.Tick(t[3])}
+	if covered := b.Total(); total > covered {
 		b.Idle = total - covered
 	}
 	return b

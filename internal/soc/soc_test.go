@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gem5aladdin/internal/ddg"
-	"gem5aladdin/internal/mem/dma"
+	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
 	"gem5aladdin/internal/trace"
 )
@@ -285,10 +285,9 @@ func TestIdealMode(t *testing.T) {
 }
 
 func TestDecompose(t *testing.T) {
-	iv := func(a, b sim.Tick) dma.Interval { return dma.Interval{Start: a, End: b} }
-	flush := []dma.Interval{iv(0, 100)}
-	dmaIv := []dma.Interval{iv(80, 200)}
-	comp := []dma.Interval{iv(150, 300)}
+	flush := []obs.Interval{{Start: 0, End: 100}}
+	dmaIv := []obs.Interval{{Start: 80, End: 200}}
+	comp := []obs.Interval{{Start: 150, End: 300}}
 	b := decompose(320, flush, dmaIv, comp)
 	if b.FlushOnly != 80 { // [0,80)
 		t.Fatalf("flush-only = %v", b.FlushOnly)
