@@ -235,6 +235,40 @@ func TestRunRepeatedDMAConstant(t *testing.T) {
 	}
 }
 
+// TestRunRepeatedWithTraffic runs repeated invocations beside a background
+// traffic agent, which reschedules itself until stopped: every round must
+// end once its invocation is observed, the first round must match a plain
+// Run of the same point, and contention can only slow a round down.
+func TestRunRepeatedWithTraffic(t *testing.T) {
+	k := Compile(kernelGraph(t, "spmv-crs"))
+	quiet := DefaultConfig()
+	quiet.Mem = DMA
+	quiet.WatchdogTicks = 10 * sim.Millisecond
+	busy := quiet
+	busy.Traffic = &TrafficConfig{Period: 200 * sim.Nanosecond, Bytes: 32}
+
+	rr, err := RunRepeated(k, busy, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Run(k, busy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Rounds[0] != one.Runtime {
+		t.Fatalf("first round %v, plain run %v", rr.Rounds[0], one.Runtime)
+	}
+	base, err := RunRepeated(k, quiet, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rr.Rounds {
+		if rr.Rounds[i] < base.Rounds[i] {
+			t.Fatalf("round %d with traffic %v, without %v", i, rr.Rounds[i], base.Rounds[i])
+		}
+	}
+}
+
 func TestRunRepeatedValidation(t *testing.T) {
 	g := streamKernel(64)
 	if _, err := RunRepeated(Compile(g), DefaultConfig(), 0, false); err == nil {

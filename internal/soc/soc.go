@@ -327,6 +327,15 @@ func newFabricOn(eng *sim.Engine, coh *coherence.Controller, cfg Config) *fabric
 	return f
 }
 
+// stopTraffic stops the background traffic generator, if any, once an
+// invocation is observed: the generator reschedules itself until stopped,
+// so the event queue could not drain otherwise.
+func (f *fabric) stopTraffic() {
+	if f.gen != nil {
+		f.gen.Stop()
+	}
+}
+
 // run drives the engine to completion under the watchdog and surfaces any
 // abort — watchdog stall, tick-budget overrun, sanitizer violation, DMA
 // retry exhaustion — as an ErrAborted-wrapped error rather than a panic or
@@ -743,11 +752,7 @@ func (r *Runner) Run(k *Compiled, cfg Config) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst.launch(func() {
-		if f.gen != nil {
-			f.gen.Stop()
-		}
-	})
+	inst.launch(f.stopTraffic)
 	if err := f.run(cfg); err != nil {
 		return nil, err
 	}
@@ -906,8 +911,11 @@ func RunRepeated(k *Compiled, cfg Config, invocations int, reuseInputs bool) (*R
 			if !reuseInputs {
 				inst.dirtyCPULines()
 			}
+			if f.gen != nil {
+				f.gen.Start()
+			}
 		}
-		inst.launch(func() {})
+		inst.launch(f.stopTraffic)
 		if err := f.run(cfg); err != nil {
 			return nil, fmt.Errorf("soc: round %d: %w", round, err)
 		}
@@ -925,10 +933,6 @@ func RunRepeated(k *Compiled, cfg Config, invocations int, reuseInputs bool) (*R
 		accum.DepStalls += inst.dpResult.Stats.DepStalls
 		accum.BarrierStalls += inst.dpResult.Stats.BarrierStalls
 		allIntervals = append(allIntervals, inst.dpResult.ComputeIntervals...)
-	}
-	if f.gen != nil {
-		f.gen.Stop()
-		f.eng.Run()
 	}
 
 	// Cumulative result over the whole sequence.
