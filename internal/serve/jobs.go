@@ -271,6 +271,9 @@ func (s *Server) resumeJobs() {
 			continue
 		}
 		x, err := m.Request.expand(s.opt.PointBudget, s.opt.MaxSearchBudget)
+		if err == nil {
+			err = x.walk()
+		}
 		j := newJob(m.ID, m.Request, x, m.Created)
 		if err != nil {
 			// The request no longer expands (schema drift, or a space a
@@ -371,7 +374,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate now, so a bad request fails at submission rather than
-	// inside the job goroutine.
+	// inside the job goroutine; a grid is walked only once the job limit
+	// admits it.
 	x, err := req.expand(s.opt.PointBudget, s.opt.MaxSearchBudget)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -389,6 +393,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if running >= s.opt.MaxJobs {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "job limit reached", http.StatusTooManyRequests)
+		return
+	}
+	if err := x.walk(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 

@@ -459,18 +459,22 @@ func (f FaultSpec) Config() fault.Config {
 // point budget. Exported so tests can replay the same grid through
 // dse.Sweep and demand bit-identical results.
 func (req SweepRequest) Configs() ([]soc.Config, error) {
-	return req.grid(0)
+	x, err := req.grid(0)
+	if err == nil {
+		err = x.walk()
+	}
+	return x.cfgs, err
 }
 
-// grid expands a /sweep request under the server's point budget. An
-// open-ended search does not fit the synchronous /sweep contract, so a
-// search request must be submitted as a job.
-func (req SweepRequest) grid(budget sim.Tick) ([]soc.Config, error) {
+// grid expands a /sweep request under the server's point budget, leaving
+// the walk to the caller. An open-ended search does not fit the
+// synchronous /sweep contract, so a search request must be submitted as a
+// job.
+func (req SweepRequest) grid(budget sim.Tick) (expansion, error) {
 	if req.Search != nil {
-		return nil, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
+		return expansion{}, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
 	}
-	x, err := req.expand(budget, 0)
-	return x.cfgs, err
+	return req.expand(budget, 0)
 }
 
 // maxGridPoints bounds a grid request's cross product, checked before the
@@ -481,11 +485,12 @@ func (req SweepRequest) grid(budget sim.Tick) ([]soc.Config, error) {
 const maxGridPoints = 1 << 16
 
 // expansion is a request expanded into the design space it walks. A grid
-// walks all of it, so cfgs holds every point Config.Validate accepts, in
-// rank order; a search samples it, up to its clamped budget.
+// walks all of it, so once walked cfgs holds every point Config.Validate
+// accepts, in rank order; a search samples it, up to its clamped budget.
 type expansion struct {
 	space  dse.SearchSpace
-	cfgs   []soc.Config // grid requests only
+	grid   bool
+	cfgs   []soc.Config // a walked grid's points
 	points int          // len(cfgs), or the search budget
 }
 
@@ -560,23 +565,36 @@ func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error
 	if n := x.space.Size(); n > maxGridPoints {
 		return expansion{}, fmt.Errorf("serve: grid of %d points exceeds the limit of %d", n, maxGridPoints)
 	}
-	x.cfgs = x.space.Grid()
-	if kind != soc.Cache && uint64(len(x.cfgs)) < x.space.Size() {
+	x.grid = true
+	return x, nil
+}
+
+// walk enumerates a grid's points. expand leaves it for after admission:
+// a grid at the maxGridPoints bound holds tens of megabytes of configs,
+// which a request turned away with 429 must not cost. Every check that
+// needs no enumeration has already run in expand. A search has nothing to
+// walk.
+func (x *expansion) walk() error {
+	if !x.grid {
+		return nil
+	}
+	cfgs := x.space.Grid()
+	if x.space.Base.Mem != soc.Cache && uint64(len(cfgs)) < x.space.Size() {
 		// The cache walk prunes illegal geometries (that is the sweep
 		// contract), so an all-illegal cache grid surfaces as the empty-grid
 		// error below; a scratchpad grid has nothing legal to prune, so its
 		// first infeasible point fails the request with its ConfigError.
 		for r := uint64(0); ; r++ {
 			if err := x.space.Config(x.space.Unrank(r)).Validate(); err != nil {
-				return expansion{}, err
+				return err
 			}
 		}
 	}
-	if len(x.cfgs) == 0 {
-		return expansion{}, errors.New("serve: request expands to an empty design grid")
+	if len(cfgs) == 0 {
+		return errors.New("serve: request expands to an empty design grid")
 	}
-	x.points = len(x.cfgs)
-	return x, nil
+	x.cfgs, x.points = cfgs, len(cfgs)
+	return nil
 }
 
 // SweepResponse is the POST /sweep reply.
@@ -641,12 +659,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.SetAttr("kernel", req.Kernel)
-	cfgs, err := req.grid(s.opt.PointBudget)
+	x, err := req.grid(s.opt.PointBudget)
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	span.SetAttr("points", len(cfgs))
 
 	// Admission: the queue-full case answers immediately so clients can
 	// back off instead of piling onto a saturated simulator.
@@ -663,6 +680,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.admit }()
+	if err := x.walk(); err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
+	}
+	span.SetAttr("points", x.points)
 
 	s.mu.Lock()
 	if s.closed {
@@ -699,7 +721,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	started := time.Now()
-	resp, code, err := s.sweep(ctx, req, k, cfgs)
+	resp, code, err := s.sweep(ctx, req, k, x.cfgs)
 	if err != nil {
 		fail(code, err.Error())
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -367,6 +368,77 @@ func TestOversizedGridRejected(t *testing.T) {
 	if snap := s.Snapshot(); snap.PointsSimulated != 0 || snap.JobsSubmitted != 0 {
 		t.Errorf("rejected grid simulated %d points and submitted %d jobs, want 0 and 0",
 			snap.PointsSimulated, snap.JobsSubmitted)
+	}
+}
+
+// TestFullServerRejectsBeforeEnumerating sends a grid at the maxGridPoints
+// bound (256 x 256 repeated values, 65,536 valid DMA points) to a server
+// whose /sweep queue and job limit are both full. Each must answer 429
+// without enumerating the grid first: one in-process request may allocate
+// under 1 MB, where the grid's configs alone take about 23 MB.
+func TestFullServerRejectsBeforeEnumerating(t *testing.T) {
+	block := make(chan struct{})
+	s, ts := newTestServer(t, serve.Options{
+		Workers:    1,
+		QueueDepth: 1,
+		MaxJobs:    1,
+		BuildKernel: func(name string) (*trace.Trace, error) {
+			<-block
+			return nil, fmt.Errorf("%w: %s is synthetic", serve.ErrUnknownKernel, name)
+		},
+	})
+
+	small, _ := json.Marshal(quickReq())
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first job: status %d, want 202", resp.StatusCode)
+	}
+	done := make(chan int, 1)
+	go func() {
+		code, _ := postSweep(t, ts.URL, quickReq())
+		done <- code
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Snapshot().ActiveRequests == 0 {
+		if time.Now().After(deadline) {
+			close(block)
+			t.Fatal("first sweep never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	req := serve.SweepRequest{Kernel: "spmv-crs", Mem: "dma",
+		Lanes: make([]int, 256), Partitions: make([]int, 256)}
+	for i := range req.Lanes {
+		req.Lanes[i] = 1
+		req.Partitions[i] = 1
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, path := range []string{"/sweep", "/jobs"} {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, r)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Errorf("POST %s: status %d, want 429: %.200s", path, rec.Code, rec.Body.String())
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("POST %s allocated %d B before its 429, want under 1 MB", path, n)
+		}
+	}
+	close(block)
+	if code := <-done; code != http.StatusBadRequest {
+		t.Errorf("pinned sweep finished with %d, want 400 (unknown kernel)", code)
 	}
 }
 
