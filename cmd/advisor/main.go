@@ -72,9 +72,9 @@ func main() {
 	}
 
 	sweep := func(mem soc.MemKind) dse.Space {
-		sp := dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, *full, nil)}
-		sp.Base.Mem = mem
-		space, err := dse.Sweep(context.Background(), kern, sp.Grid(), dse.SweepOptions{})
+		b := base
+		b.Mem = mem
+		space, err := dse.Sweep(context.Background(), kern, dse.GridSpace(b, *full, nil).Grid(), dse.SweepOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -108,7 +108,7 @@ func main() {
 	// One space description either way: -search samples the default large
 	// axes, the grid walks every point of the Fig 3 table.
 	base.Mem = kind
-	sspace := dse.SearchSpace{Base: base, Axes: dse.GridAxes(kind, *full, fabricAxis)}
+	sspace := dse.GridSpace(base, *full, fabricAxis)
 	var cfgs []soc.Config
 	if *adapt {
 		sspace.Axes = dse.WithFabricAxis(dse.DefaultSearchAxes(kind), fabricAxis)

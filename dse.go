@@ -79,18 +79,18 @@ type SearchAxis = dse.SearchAxis
 // SearchSpace is the one description of a design space: a base config
 // plus the named axes that vary, with a stable point codec (Rank/Unrank)
 // and a content fingerprint that keys resume checkpoints. Grid walks it
-// exhaustively for Sweep — GridAxes gives the Fig 3 table — and Search
+// exhaustively for Sweep — GridSpace gives the Fig 3 table — and Search
 // samples spaces of 10^5-10^6 points that no grid can enumerate.
 type SearchSpace = dse.SearchSpace
 
-// GridAxes returns one memory system's Fig 3 grid as axes: lanes x
-// partitions for Isolated and DMA designs, lanes x cache size x line x
-// ports x associativity for caches. full selects the whole table instead of
-// the quick one; a non-empty fabrics list adds a fabric axis first. Walk it
-// with SearchSpace{Base: cfg, Axes: GridAxes(mem, full, nil)}.Grid(), where
-// cfg.Mem is mem.
-func GridAxes(mem MemKind, full bool, fabrics []FabricKind) []SearchAxis {
-	return dse.GridAxes(mem, full, fabrics)
+// GridSpace returns the Fig 3 grid of base's memory system as a space
+// over base: lanes x partitions for Isolated and DMA designs, lanes x cache
+// size x line x ports x associativity for caches, chosen by base.Mem. full
+// selects the whole table instead of the quick one; a non-empty fabrics
+// list adds a fabric axis first. Walk it with GridSpace(cfg, full,
+// nil).Grid().
+func GridSpace(base Config, full bool, fabrics []FabricKind) SearchSpace {
+	return dse.GridSpace(base, full, fabrics)
 }
 
 // SearchOptions tunes Search: the RNG seed (same seed, same space ⇒

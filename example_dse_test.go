@@ -27,12 +27,10 @@ func ExampleSweep() {
 	}
 	k := gem5aladdin.Compile(gem5aladdin.BuildGraph(b.Finish()))
 
-	// Describe the design space once, walk every point of its grid, and
-	// evaluate the points in parallel.
-	designs := gem5aladdin.SearchSpace{Base: gem5aladdin.DefaultConfig(), Axes: []gem5aladdin.SearchAxis{
-		{Name: "lanes", Values: []int{1, 2, 4}},
-		{Name: "partitions", Values: []int{1, 2, 4}},
-	}}
+	// Describe the design space once (the quick Fig 3 grid of the default
+	// DMA design: lanes x scratchpad partitions), walk every point of its
+	// grid, and evaluate the points in parallel.
+	designs := gem5aladdin.GridSpace(gem5aladdin.DefaultConfig(), false, nil)
 	space, err := gem5aladdin.Sweep(context.Background(), k, designs.Grid(),
 		gem5aladdin.SweepOptions{})
 	if err != nil {

@@ -29,7 +29,7 @@ func sweepConfigs() []soc.Config {
 	for _, mem := range []soc.MemKind{soc.DMA, soc.Cache} {
 		base := soc.DefaultConfig()
 		base.Mem = mem
-		cfgs = append(cfgs, dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, false, nil)}.Grid()...)
+		cfgs = append(cfgs, dse.GridSpace(base, false, nil).Grid()...)
 	}
 	return cfgs
 }

@@ -265,15 +265,16 @@ func DefaultCacheLines() []int { return []int{16, 32, 64} }
 // DefaultCacheAssocs is the Fig 3 associativity sweep.
 func DefaultCacheAssocs() []int { return []int{4, 8} }
 
-// GridAxes returns one memory system's Fig 3 grid as search axes: lanes x
-// partitions for the scratchpad systems, lanes x cache size x line x ports x
-// associativity for caches. full selects the whole table; the quick grid
-// keeps the lane and size axes (they drive the co-design conclusions) and
-// pins line size and associativity to their defaults, for tests and fast
-// iteration. A non-empty fabrics list adds a fabric axis first, so each
-// fabric's points stay contiguous. Walk the axes with SearchSpace.Grid over
-// a base config whose Mem is mem.
-func GridAxes(mem soc.MemKind, full bool, fabrics []soc.FabricKind) []SearchAxis {
+// GridSpace returns the Fig 3 grid of base's memory system as a space over
+// base: lanes x partitions for the scratchpad systems, lanes x cache size x
+// line x ports x associativity for caches. The axes follow base.Mem, so a
+// grid cannot walk one memory system's axes over another's design. full
+// selects the whole table; the quick grid keeps the lane and size axes
+// (they drive the co-design conclusions) and pins line size and
+// associativity to their defaults, for tests and fast iteration. A
+// non-empty fabrics list adds a fabric axis first, so each fabric's points
+// stay contiguous. Walk it with Grid.
+func GridSpace(base soc.Config, full bool, fabrics []soc.FabricKind) SearchSpace {
 	pick := func(quick []int, all func() []int) []int {
 		if full {
 			return all()
@@ -282,15 +283,17 @@ func GridAxes(mem soc.MemKind, full bool, fabrics []soc.FabricKind) []SearchAxis
 	}
 	axes := append(WithFabricAxis(nil, fabrics),
 		SearchAxis{Name: "lanes", Values: pick([]int{1, 4, 16}, DefaultLanes)})
-	if mem != soc.Cache {
-		return append(axes, SearchAxis{Name: "partitions", Values: pick([]int{1, 4, 16}, DefaultPartitions)})
+	if base.Mem != soc.Cache {
+		axes = append(axes, SearchAxis{Name: "partitions", Values: pick([]int{1, 4, 16}, DefaultPartitions)})
+	} else {
+		axes = append(axes,
+			SearchAxis{Name: "cache_kb", Values: pick([]int{2, 8, 32}, DefaultCacheKB)},
+			SearchAxis{Name: "cache_line", Values: pick([]int{32}, DefaultCacheLines)},
+			SearchAxis{Name: "cache_ports", Values: pick([]int{1, 4}, DefaultCachePorts)},
+			SearchAxis{Name: "cache_assoc", Values: pick([]int{4}, DefaultCacheAssocs)},
+		)
 	}
-	return append(axes,
-		SearchAxis{Name: "cache_kb", Values: pick([]int{2, 8, 32}, DefaultCacheKB)},
-		SearchAxis{Name: "cache_line", Values: pick([]int{32}, DefaultCacheLines)},
-		SearchAxis{Name: "cache_ports", Values: pick([]int{1, 4}, DefaultCachePorts)},
-		SearchAxis{Name: "cache_assoc", Values: pick([]int{4}, DefaultCacheAssocs)},
-	)
+	return SearchSpace{Base: base, Axes: axes}
 }
 
 // Scenario is one of the paper's four design contexts (Sec V-B).
@@ -316,7 +319,7 @@ func (sc Scenario) Space(full bool) SearchSpace {
 	base := soc.DefaultConfig()
 	base.Mem = sc.Mem
 	base.BusWidthBits = sc.BusBits
-	return SearchSpace{Base: base, Axes: GridAxes(sc.Mem, full, nil)}
+	return GridSpace(base, full, nil)
 }
 
 // --- Fig 9 microarchitectural metrics ---

@@ -7,14 +7,14 @@ import (
 	"gem5aladdin/internal/soc"
 )
 
-// TestGridFabricAxisFirst checks the axis algebra: GridAxes puts a fabric
+// TestGridFabricAxisFirst checks the axis algebra: GridSpace puts a fabric
 // axis first, so the walk replicates the grid kind-major without disturbing
 // the other fields, and an empty kind list leaves the grid as it was.
 func TestGridFabricAxisFirst(t *testing.T) {
 	base := soc.DefaultConfig()
-	grid := SearchSpace{Base: base, Axes: GridAxes(soc.DMA, false, nil)}.Grid()
+	grid := GridSpace(base, false, nil).Grid()
 	kinds := soc.FabricKinds()
-	cfgs := SearchSpace{Base: base, Axes: GridAxes(soc.DMA, false, kinds)}.Grid()
+	cfgs := GridSpace(base, false, kinds).Grid()
 	if len(cfgs) != len(grid)*len(kinds) {
 		t.Fatalf("grid size = %d, want %d", len(cfgs), len(grid)*len(kinds))
 	}
@@ -29,7 +29,7 @@ func TestGridFabricAxisFirst(t *testing.T) {
 			t.Fatalf("config %d diverged from its base beyond the fabric kind", i)
 		}
 	}
-	if got := GridAxes(soc.DMA, false, nil); len(got) != 2 {
+	if got := GridSpace(base, false, nil).Axes; len(got) != 2 {
 		t.Fatalf("empty kind list added an axis: %v", got)
 	}
 }

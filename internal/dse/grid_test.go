@@ -25,7 +25,7 @@ func goldenGrid(mem soc.MemKind, full bool, fabrics []soc.FabricKind, busBits in
 	base := soc.DefaultConfig()
 	base.BusWidthBits = busBits
 	base.Mem = mem
-	return SearchSpace{Base: base, Axes: GridAxes(mem, full, fabrics)}.Grid()
+	return GridSpace(base, full, fabrics).Grid()
 }
 
 // goldenScenario is one design scenario's grid, quick or full.
@@ -97,6 +97,25 @@ func TestGridGolden(t *testing.T) {
 			cfgs := goldenScenario(sc, full)
 			if got := gridDigest(cfgs); got != scenarios[name] {
 				t.Errorf("scenario %s (%d points): digest %s, want %s", name, len(cfgs), got, scenarios[name])
+			}
+		}
+	}
+}
+
+// TestGridSpaceFollowsBaseMem checks that a grid's axes come from its base
+// config's memory system: every point keeps base.Mem, and only a cache base
+// walks cache geometry.
+func TestGridSpaceFollowsBaseMem(t *testing.T) {
+	for _, mem := range []soc.MemKind{soc.Isolated, soc.DMA, soc.Cache} {
+		base := soc.DefaultConfig()
+		base.Mem = mem
+		sp := GridSpace(base, false, nil)
+		if got := sp.Axes[len(sp.Axes)-1].Name == "cache_assoc"; got != (mem == soc.Cache) {
+			t.Errorf("%v: axes %v", mem, sp.Axes)
+		}
+		for i, c := range sp.Grid() {
+			if c.Mem != mem {
+				t.Fatalf("%v: point %d has memory system %v", mem, i, c.Mem)
 			}
 		}
 	}

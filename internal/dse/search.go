@@ -108,7 +108,7 @@ func WithFabricAxis(axes []SearchAxis, kinds []soc.FabricKind) []SearchAxis {
 // SearchSpace is the one description of a design space: a base config
 // (memory kind, bus, faults, everything the axes leave alone) and the axes
 // that vary. Any Config field with a registered axis name can be an axis. A
-// sweep walks a space exhaustively (Grid over GridAxes, the Fig 3 table); an
+// sweep walks a space exhaustively (Grid over GridSpace, the Fig 3 table); an
 // adaptive search samples one whose cross product reaches 10^5-10^6 points.
 type SearchSpace struct {
 	Base soc.Config

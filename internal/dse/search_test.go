@@ -132,7 +132,7 @@ func TestSearchSpaceValidate(t *testing.T) {
 func TestGridAllocs(t *testing.T) {
 	base := soc.DefaultConfig()
 	base.Mem = soc.Cache
-	sp := SearchSpace{Base: base, Axes: GridAxes(soc.Cache, true, soc.FabricKinds())}
+	sp := GridSpace(base, true, soc.FabricKinds())
 	if n := len(sp.Grid()); n != 2160 {
 		t.Fatalf("grid has %d points, want 2160", n)
 	}

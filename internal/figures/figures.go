@@ -99,7 +99,7 @@ func Fig1(w io.Writer, quick bool) error {
 	for _, mem := range []soc.MemKind{soc.Isolated, soc.DMA} {
 		base := soc.DefaultConfig()
 		base.Mem = mem
-		cfgs := dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, !quick, nil)}.Grid()
+		cfgs := dse.GridSpace(base, !quick, nil).Grid()
 		space, err := dse.Sweep(context.Background(), k, cfgs, dse.SweepOptions{})
 		if err != nil {
 			return err
@@ -461,7 +461,7 @@ func Fig8(w io.Writer, quick bool) error {
 		for _, mem := range []soc.MemKind{soc.DMA, soc.Cache} {
 			base := soc.DefaultConfig()
 			base.Mem = mem
-			cfgs := dse.SearchSpace{Base: base, Axes: dse.GridAxes(mem, !quick, nil)}.Grid()
+			cfgs := dse.GridSpace(base, !quick, nil).Grid()
 			space, err := dse.Sweep(context.Background(), k, cfgs, dse.SweepOptions{})
 			if err != nil {
 				return err

@@ -550,7 +550,7 @@ func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error
 		}
 		return x, x.space.Validate()
 	}
-	x.space.Axes = dse.GridAxes(kind, req.Full, kinds)
+	x.space = dse.GridSpace(base, req.Full, kinds)
 	overrides := map[string][]int{"lanes": req.Lanes, "partitions": req.Partitions,
 		"cache_kb": req.CacheKB, "cache_line": req.CacheLines,
 		"cache_ports": req.CachePorts, "cache_assoc": req.CacheAssoc}
