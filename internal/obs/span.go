@@ -243,7 +243,8 @@ func (t *SpanTracer) WriteTraceJSON(w io.Writer, traceID string) (bool, error) {
 		tracks = append(tracks, s.Track)
 	}
 	slices.Sort(tracks)
-	tw := newTraceWriter(w, `{"displayTimeUnit":"ms","traceEvents":[`)
+	tw := &traceWriter{w: w}
+	tw.write(`{"displayTimeUnit":"ms","traceEvents":[`)
 	tw.meta("process_name", 0, "name", "sweep trace "+traceID)
 	for _, tr := range slices.Compact(tracks) {
 		tw.meta("thread_name", tr+1, "name", fmt.Sprintf("track %d", tr))
@@ -271,7 +272,8 @@ func (t *SpanTracer) WriteTraceJSON(w io.Writer, traceID string) (bool, error) {
 		}
 		tw.event(ev)
 	}
-	return true, tw.close("]}\n")
+	tw.write("]}\n")
+	return true, tw.err
 }
 
 // spanCtxKey carries a *Span through a context.

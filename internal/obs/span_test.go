@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -153,5 +155,41 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	s := tr.StartTrace("root")
 	if SpanFromContext(WithSpan(ctx, s)) != s {
 		t.Fatal("span did not round-trip through context")
+	}
+}
+
+// failWriter fails every write after the first n bytes.
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if f.n < len(p) {
+		return 0, errors.New("disk full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestTraceExportsKeepFirstError checks the error policy both exports
+// share: the first write or marshal error ends the export and is
+// returned. A span attribute that cannot be marshalled fails the span
+// export instead of dropping its event.
+func TestTraceExportsKeepFirstError(t *testing.T) {
+	tr := NewTracer()
+	tr.Track("bus").Add(Event{Name: "read", Start: 0, End: 10})
+	if err := tr.WriteJSON(&failWriter{n: 40}); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Tracer.WriteJSON on a failing writer: %v", err)
+	}
+
+	st := NewSpanTracer(nil, 8)
+	st.traceIDFn = func() string { return "nan" }
+	root := st.StartTrace("sweep")
+	root.SetAttr("ratio", math.NaN())
+	root.EndSpan()
+	var buf bytes.Buffer
+	if ok, err := st.WriteTraceJSON(&buf, "nan"); !ok || err == nil {
+		t.Fatalf("unmarshallable attribute: ok=%v err=%v", ok, err)
+	}
+	if strings.Contains(buf.String(), "]}") {
+		t.Fatalf("export closed the document after a marshal error: %s", buf.String())
 	}
 }

@@ -140,23 +140,15 @@ const socPid = 1
 
 // traceWriter streams one trace-event JSON document, the one writer
 // behind both Tracer.WriteJSON (simulated time) and
-// SpanTracer.WriteTraceJSON (wall-clock time). It writes the array
-// framing and the commas between events, and keeps the first write or
-// marshal error: after it every call is a no-op, so export loops stay
-// unconditional. Events stream to w one at a time and are never
-// materialized as one slice.
+// SpanTracer.WriteTraceJSON (wall-clock time). Callers write the
+// document's head and tail; event writes the records between them with
+// their commas. It keeps the first write or marshal error, after which
+// every call is a no-op, so export loops stay unconditional. Events
+// stream to w one at a time and are never materialized as one slice.
 type traceWriter struct {
-	w      io.Writer
-	err    error
-	events int
-}
-
-// newTraceWriter starts a document with head, which opens the event
-// array.
-func newTraceWriter(w io.Writer, head string) *traceWriter {
-	tw := &traceWriter{w: w}
-	tw.write(head)
-	return tw
+	w     io.Writer
+	err   error
+	comma bool // an event was written, so the next one needs a comma
 }
 
 func (tw *traceWriter) write(s string) {
@@ -165,37 +157,26 @@ func (tw *traceWriter) write(s string) {
 	}
 }
 
-// event appends one record to the array.
+// event appends one record to the event array.
 func (tw *traceWriter) event(te traceEvent) {
 	if tw.err != nil {
 		return
 	}
 	b, err := json.Marshal(te)
-	if err != nil {
-		tw.err = err
-		return
+	if err == nil && tw.comma {
+		_, err = io.WriteString(tw.w, ",")
 	}
-	if tw.events > 0 {
-		tw.write(",")
+	if err == nil {
+		_, err = tw.w.Write(b)
 	}
-	tw.events++
-	if tw.err == nil {
-		_, tw.err = tw.w.Write(b)
-	}
+	tw.err, tw.comma = err, true
 }
 
-// meta appends a metadata record naming or ordering a process (tid 0)
+// meta appends a metadata record naming or ordering the process (tid 0)
 // or one of its threads.
 func (tw *traceWriter) meta(name string, tid int, key string, value any) {
 	tw.event(traceEvent{Name: name, Ph: "M", Pid: socPid, Tid: tid,
 		Args: map[string]any{key: value}})
-}
-
-// close writes tail, which closes the event array and the document, and
-// returns the first error.
-func (tw *traceWriter) close(tail string) error {
-	tw.write(tail)
-	return tw.err
 }
 
 // WriteJSON flushes any open merge windows and writes the whole timeline.
@@ -206,7 +187,8 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	for _, fl := range t.flushers {
 		fl()
 	}
-	tw := newTraceWriter(w, `{"traceEvents":[`)
+	tw := &traceWriter{w: w}
+	tw.write(`{"traceEvents":[`)
 	tw.meta("process_name", 0, "name", "gem5-aladdin soc")
 	for i, tr := range t.tracks {
 		tw.meta("thread_name", tr.tid, "name", tr.name)
@@ -232,7 +214,8 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			tw.event(te)
 		}
 	}
-	return tw.close("],\"displayTimeUnit\":\"ns\"}\n")
+	tw.write("],\"displayTimeUnit\":\"ns\"}\n")
+	return tw.err
 }
 
 // eventArgs builds the args payload; JSON map keys marshal sorted, so this
