@@ -69,7 +69,7 @@ func (b Bucket) String() string {
 // the interval algebra runs once at Attribute time. Not safe for
 // concurrent use: one Profile observes one single-threaded simulation.
 type Profile struct {
-	ivals [NumBuckets][]Interval
+	windows [NumBuckets][]Interval
 }
 
 // NewProfile returns an empty profile.
@@ -82,7 +82,7 @@ func (p *Profile) Observe(b Bucket, start, end uint64) {
 	if end <= start {
 		return
 	}
-	p.ivals[b] = append(p.ivals[b], Interval{start, end})
+	p.windows[b] = append(p.windows[b], Interval{start, end})
 }
 
 // Listener adapts a bucket to the probe API: subscribe it with
@@ -94,8 +94,8 @@ func (p *Profile) Listener(b Bucket) func(Event) {
 // Reset clears collected windows, retaining capacity, so one Profile can
 // observe a sweep of design points without reallocating.
 func (p *Profile) Reset() {
-	for b := range p.ivals {
-		p.ivals[b] = p.ivals[b][:0]
+	for b := range p.windows {
+		p.windows[b] = p.windows[b][:0]
 	}
 }
 
@@ -114,7 +114,7 @@ type Attribution struct {
 // fall to BucketIdle. It is one Partition over the buckets' windows.
 func (p *Profile) Attribute(total uint64) Attribution {
 	att := Attribution{Total: total}
-	copy(att.Ticks[:], Partition(total, p.ivals[:BucketIdle]...))
+	copy(att.Ticks[:], Partition(total, p.windows[:BucketIdle]...))
 	att.Ticks[BucketIdle] = total - att.Sum()
 	return att
 }
