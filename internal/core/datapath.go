@@ -105,14 +105,19 @@ type ScheduleEntry struct {
 	Lane     int32
 }
 
-// Stats aggregates datapath activity.
+// Stats aggregates datapath activity. ActiveCycles and the stall counters
+// count only cycles on which the datapath ticks. While every unfinished
+// lane waits on an async memory completion and no functional-unit result
+// is pending, no tick runs, so those cycles count toward Cycles alone.
 type Stats struct {
-	Cycles        uint64 // cycles from start to completion signal
-	ActiveCycles  uint64 // cycles with at least one op issued or in flight
-	OpsIssued     [trace.NumKinds]uint64
-	MemStalls     uint64 // lane-cycles stalled on memory (retry or async)
-	DepStalls     uint64 // lane-cycles stalled on dependences
-	BarrierStalls uint64 // lane-cycles stalled on the wave barrier
+	Cycles       uint64 // cycles from start to completion signal
+	ActiveCycles uint64 // ticked cycles that issued an op or had one in flight
+	OpsIssued    [trace.NumKinds]uint64
+	// MemStalls counts lane-cycles, over ticked cycles, of a lane retrying
+	// a memory access or blocked on an async one.
+	MemStalls     uint64
+	DepStalls     uint64 // lane-cycles, over ticked cycles, stalled on dependences
+	BarrierStalls uint64 // lane-cycles, over ticked cycles, stalled on the wave barrier
 	// LaneOps counts operations issued per lane; with Cycles it yields
 	// per-lane utilization (the paper's "wasted hardware" signal).
 	LaneOps []uint64
@@ -144,7 +149,7 @@ type Result struct {
 
 // laneState tracks one lane's progress through its assigned iterations.
 // iters and waves alias the Program's shared lane layout — read-only here —
-// while cur/pc/pending/blocked are this run's private cursor.
+// while cur/pc/pending/blocked/class are this run's private cursor.
 type laneState struct {
 	iters   []ddg.Range // iteration node ranges, in execution order (shared)
 	waves   []int       // wave index of each entry in iters (shared)
@@ -152,7 +157,25 @@ type laneState struct {
 	pc      int32       // next node within the current range
 	pending int32       // node awaiting an async memory completion
 	blocked bool        // waiting on an async memory completion
+	class   laneClass   // what the lane does on the next tick
 }
+
+// laneClass is what a lane does on a tick. A lane has exactly one class,
+// taken in this precedence: blocked on an async memory completion (a memory
+// stall), exhausted (nothing left to issue), held by the wave barrier,
+// waiting on a dependence, else ready to attempt its head node. Only ready
+// lanes are visited on a tick; the other classes count their stalls in
+// bulk.
+type laneClass uint8
+
+const (
+	laneReady laneClass = iota
+	laneBlocked
+	laneExhausted
+	laneBarrier
+	laneDep
+	numLaneClasses
+)
 
 // Datapath is one accelerator instance's scheduler.
 type Datapath struct {
@@ -164,6 +187,15 @@ type Datapath struct {
 
 	indeg []int32
 	lanes []laneState
+	// iterLane and iterWave alias the lane layout's per-iteration tables.
+	iterLane, iterWave []int32
+	// ready has one bit per lane whose class is laneReady, so a tick visits
+	// those lanes in ascending order without scanning the rest; readyWord
+	// backs it up to 64 lanes, so that case allocates nothing. classes counts
+	// the lanes in each class.
+	ready     []uint64
+	readyWord [1]uint64
+	classes   [numLaneClasses]int
 	// completeFns[i] is lane i's pre-bound async-completion callback: it
 	// resolves the lane's pending node. One closure per lane for the
 	// datapath's lifetime, instead of one per issue attempt — the single
@@ -188,7 +220,7 @@ type Datapath struct {
 
 	cycle         uint64
 	startTick     sim.Tick
-	tickEv        *sim.Event // pre-bound tick callback, scheduled every cycle
+	tickEv        *sim.Event // pre-bound tick callback, scheduled per cycle not taken inline
 	tickScheduled bool
 	running       bool
 	finished      bool
@@ -283,16 +315,27 @@ func (d *Datapath) reinit(eng *sim.Engine, p *Program, cfg Config, mem MemModel)
 	// is wave k/L + 1. The per-run state is just the cursors and a copy of
 	// the wave-counter template.
 	lay := p.layout(cfg.Lanes)
+	d.iterLane, d.iterWave = lay.iterLane, lay.iterWave
 	d.lanes = grow(d.lanes, cfg.Lanes)
 	for i := range d.lanes {
 		ln := &d.lanes[i]
 		ln.iters = lay.lanes[i].iters
 		ln.waves = lay.lanes[i].waves
 		ln.cur, ln.pc, ln.pending, ln.blocked = 0, -1, 0, false
+		ln.class = laneExhausted
 	}
 	d.waveRemaining = grow(d.waveRemaining, len(lay.waveRemaining))
 	copy(d.waveRemaining, lay.waveRemaining)
 	d.completeWave = -1
+	if d.ready == nil {
+		d.ready = d.readyWord[:]
+	}
+	d.ready = grow(d.ready, (cfg.Lanes+63)/64)
+	clear(d.ready)
+	d.classes = [numLaneClasses]int{laneExhausted: cfg.Lanes}
+	for i := range d.lanes {
+		d.classify(i)
+	}
 	for len(d.completeFns) < cfg.Lanes {
 		lane := len(d.completeFns)
 		d.completeFns = append(d.completeFns, func() { d.asyncComplete(lane) })
@@ -339,7 +382,7 @@ func (d *Datapath) Snapshot() Stats { return d.stats }
 func RegisterStats(reg *obs.Registry, prefix string, snap func() Stats) {
 	reg.CounterFunc(prefix+".cycles", "accelerator cycles start to completion",
 		func() uint64 { return snap().Cycles })
-	reg.CounterFunc(prefix+".active_cycles", "cycles with an op issued or in flight",
+	reg.CounterFunc(prefix+".active_cycles", "ticked cycles with an op issued or in flight",
 		func() uint64 { return snap().ActiveCycles })
 	reg.CounterFunc(prefix+".ops_issued", "operations issued across all lanes",
 		func() uint64 {
@@ -349,11 +392,11 @@ func RegisterStats(reg *obs.Registry, prefix string, snap func() Stats) {
 			}
 			return total
 		})
-	reg.CounterFunc(prefix+".mem_stalls", "lane-cycles stalled on memory",
+	reg.CounterFunc(prefix+".mem_stalls", "lane-cycles stalled on memory, over ticked cycles",
 		func() uint64 { return snap().MemStalls })
-	reg.CounterFunc(prefix+".dep_stalls", "lane-cycles stalled on dependences",
+	reg.CounterFunc(prefix+".dep_stalls", "lane-cycles stalled on dependences, over ticked cycles",
 		func() uint64 { return snap().DepStalls })
-	reg.CounterFunc(prefix+".barrier_stalls", "lane-cycles stalled on the wave barrier",
+	reg.CounterFunc(prefix+".barrier_stalls", "lane-cycles stalled on the wave barrier, over ticked cycles",
 		func() uint64 { return snap().BarrierStalls })
 	reg.Formula(prefix+".utilization", "mean per-lane issue-slot occupancy",
 		func() float64 {
@@ -429,11 +472,33 @@ func (d *Datapath) cycleAt() uint64 {
 	return d.cfg.Clock.CyclesAt(d.eng.Now() - d.startTick)
 }
 
+// edge returns the tick at which accelerator cycle c begins.
+func (d *Datapath) edge(c uint64) sim.Tick { return d.startTick + d.cfg.Clock.Cycles(c) }
+
+// tick runs the datapath's cycles. Each next cycle whose edge is the
+// engine's next event anyway is taken inline (sim.Engine.Advance) rather
+// than scheduled, so a busy datapath pays no queue round trip per cycle;
+// the first one that is not is scheduled.
 func (d *Datapath) tick() {
 	d.tickScheduled = false
-	if d.finished {
-		return
+	for !d.finished {
+		next, ok := d.runCycle()
+		if !ok {
+			return
+		}
+		if d.eng.Advance(d.edge(next), d.cfg.Clock.Period, 1) == 0 {
+			d.eng.ScheduleEvent(d.edge(next), d.tickEv)
+			d.tickScheduled = true
+			return
+		}
 	}
+}
+
+// runCycle runs the cycle at the current tick and returns the next cycle
+// to tick at. ok is false once the datapath has finished, or while every
+// unfinished lane waits on an async completion (asyncComplete and Wake
+// reschedule it).
+func (d *Datapath) runCycle() (next uint64, ok bool) {
 	d.cycle = d.cycleAt()
 
 	// Make results visible for completions scheduled at or before now.
@@ -455,99 +520,84 @@ func (d *Datapath) tick() {
 	}
 	d.advanceWaves()
 
+	// Every lane that is not ready stalls this cycle as its class says.
+	d.stats.MemStalls += uint64(d.classes[laneBlocked])
+	d.stats.BarrierStalls += uint64(d.classes[laneBarrier])
+	d.stats.DepStalls += uint64(d.classes[laneDep])
+	stalled := d.classes[laneBarrier]+d.classes[laneDep] > 0
 	anyIssued := false
-	anyStalledRetry := false
-	for li := range d.lanes {
-		ln := &d.lanes[li]
-		if ln.blocked {
-			d.stats.MemStalls++
-			continue
-		}
-		id, ok := d.nextNode(ln)
-		if !ok {
-			continue
-		}
-		kind := d.prog.kinds[id]
-		// Wave barrier: a node may issue only when every prior wave is
-		// fully complete.
-		if !d.cfg.NoBarrier && ln.waves[ln.cur] > d.completeWave+1 {
-			d.stats.BarrierStalls++
-			anyStalledRetry = true
-			continue
-		}
-		if d.indeg[id] != 0 {
-			d.stats.DepStalls++
-			anyStalledRetry = true
-			continue
-		}
-		if kind.IsMem() {
-			// pending is set before the attempt so the lane's pre-bound
-			// callback resolves the right node; it is only consulted when
-			// the model answers IssueAsync (completion callbacks never
-			// fire synchronously inside Issue).
-			ln.pending = id
-			switch d.mem.Issue(id, &d.g.Trace.Nodes[id], d.cycle, d.completeFns[li]) {
-			case IssueRetry:
-				d.stats.MemStalls++
-				anyStalledRetry = true
-				continue
-			case IssueLocal:
-				d.issue(ln, li, id, kind, 1)
-			case IssueAsync:
-				d.issue(ln, li, id, kind, 0)
-				ln.blocked = true
-			}
-		} else {
-			lat := uint64(d.cfg.Latencies[kind])
-			if lat == 0 {
-				lat = 1
+	// An issue changes only its own lane's class, so each word's snapshot
+	// stays valid while its lanes issue.
+	for w, word := range d.ready {
+		for m := word; m != 0; m &= m - 1 {
+			li := w<<6 | bits.TrailingZeros64(m)
+			ln := &d.lanes[li]
+			id := ln.pc
+			kind := d.prog.kinds[id]
+			lat := uint64(1)
+			if kind.IsMem() {
+				// pending is set before the attempt so the lane's pre-bound
+				// callback resolves the right node; it is only consulted when
+				// the model answers IssueAsync (completion callbacks never
+				// fire synchronously inside Issue).
+				ln.pending = id
+				switch d.mem.Issue(id, &d.g.Trace.Nodes[id], d.cycle, d.completeFns[li]) {
+				case IssueRetry:
+					// The lane stays ready and retries next cycle.
+					d.stats.MemStalls++
+					stalled = true
+					continue
+				case IssueAsync:
+					lat = 0
+					ln.blocked = true
+				}
+			} else if l := d.cfg.Latencies[kind]; l != 0 {
+				lat = uint64(l)
 			}
 			d.issue(ln, li, id, kind, lat)
+			anyIssued = true
 		}
-		anyIssued = true
 	}
 
-	active := anyIssued || d.inFlight > 0
-	if active {
+	if anyIssued || d.inFlight > 0 {
 		d.stats.ActiveCycles++
 		d.recordActive()
 	}
-
 	if d.allDone() {
 		d.finish()
-		return
+		return 0, false
 	}
 
-	// Decide when to tick next: next cycle if anything can progress, else
-	// at the earliest pending completion, else wait for async wakeups.
-	if anyIssued || anyStalledRetry {
-		d.eng.ScheduleEvent(d.startTick+d.cfg.Clock.Cycles(d.cycle+1), d.tickEv)
-		d.tickScheduled = true
-		return
+	// Tick next cycle if anything can progress, else at the earliest
+	// pending completion, else wait for async wakeups.
+	if !anyIssued && !stalled {
+		return d.nextCompletionCycle()
 	}
-	if next, ok := d.nextCompletionCycle(); ok {
-		d.eng.ScheduleEvent(d.startTick+d.cfg.Clock.Cycles(next), d.tickEv)
-		d.tickScheduled = true
+	// A dead run: no lane is left ready and some lane waits on a dependence
+	// or the barrier, so each cycle before the next ring completion stalls
+	// the lanes as they stand now and issues nothing, unless another event
+	// lands first. Take those cycles inline in one call and count them in
+	// bulk. Without a pending ring completion there is no end to skip to,
+	// so a datapath waiting only on async memory ticks cycle by cycle.
+	var nc uint64
+	dead := false
+	if d.classes[laneReady] == 0 && d.classes[laneBarrier]+d.classes[laneDep] > 0 {
+		nc, dead = d.nextCompletionCycle()
 	}
-	// Otherwise: every runnable lane is blocked on async memory or ready
-	// bits; asyncComplete/Wake will reschedule.
-}
-
-// nextNode returns the lane's next unissued node, advancing across its
-// iterations. ok=false when the lane has exhausted its work.
-func (d *Datapath) nextNode(ln *laneState) (int32, bool) {
-	for ln.cur < len(ln.iters) {
-		r := ln.iters[ln.cur]
-		if ln.pc < r.Start {
-			ln.pc = r.Start
-		}
-		if ln.pc < r.End {
-			return ln.pc, true
-		}
-		ln.cur++
-		ln.pc = -1
+	if !dead || nc <= d.cycle+1 {
+		return d.cycle + 1, true
 	}
-	return 0, false
+	k := d.eng.Advance(d.edge(d.cycle+1), d.cfg.Clock.Period, nc-d.cycle-1)
+	d.stats.MemStalls += k * uint64(d.classes[laneBlocked])
+	d.stats.BarrierStalls += k * uint64(d.classes[laneBarrier])
+	d.stats.DepStalls += k * uint64(d.classes[laneDep])
+	d.stats.ActiveCycles += k
+	// This cycle was active (a ring completion is in flight), so the
+	// skipped cycles extend its open compute interval.
+	d.cycle += k
+	d.lastActive = d.cycle
+	d.intervals[len(d.intervals)-1].End = uint64(d.edge(d.cycle + 1))
+	return d.cycle + 1, true
 }
 
 func (d *Datapath) issue(ln *laneState, lane int, id int32, kind trace.OpKind, lat uint64) {
@@ -567,10 +617,12 @@ func (d *Datapath) issue(ln *laneState, lane int, id int32, kind trace.OpKind, l
 		d.occupied |= 1 << b
 		d.pendingSync++
 	}
+	d.classify(lane)
 }
 
 // complete makes node id's result visible: successors' dependences resolve
-// and the wave accounting advances.
+// — readying a lane whose head was waiting on id — and the wave accounting
+// advances.
 func (d *Datapath) complete(id int32) {
 	d.inFlight--
 	if d.sched != nil {
@@ -583,23 +635,30 @@ func (d *Datapath) complete(id int32) {
 	}
 	for _, s := range d.g.Successors(id) {
 		d.indeg[s]--
+		if d.indeg[s] > 0 {
+			continue
+		}
 		if d.indeg[s] < 0 {
 			panic(fmt.Sprintf("core: node %d dependence underflow", s))
 		}
+		if lane, _ := d.place(s); d.lanes[lane].class == laneDep && d.lanes[lane].pc == s {
+			d.setClass(int(lane), laneReady)
+		}
 	}
-	w := d.waveOf(id)
+	_, w := d.place(id)
 	d.waveRemaining[w]--
 	if d.waveRemaining[w] < 0 {
 		panic(fmt.Sprintf("core: wave %d completion underflow", w))
 	}
 }
 
-func (d *Datapath) waveOf(id int32) int {
-	it := d.prog.iter[id]
-	if it < 0 {
-		return 0
+// place returns the lane and wave node id runs in: lane 0 and wave 0 for
+// the prelude, else its iteration's entries in the layout tables.
+func (d *Datapath) place(id int32) (lane, wave int32) {
+	if it := d.prog.iter[id]; it >= 0 {
+		return d.iterLane[it], d.iterWave[it]
 	}
-	return int(it)/d.cfg.Lanes + 1
+	return 0, 0
 }
 
 // asyncComplete handles a variable-latency memory completion for the
@@ -608,6 +667,7 @@ func (d *Datapath) asyncComplete(lane int) {
 	d.complete(d.lanes[lane].pending)
 	d.lanes[lane].blocked = false
 	d.advanceWaves()
+	d.classify(lane)
 	d.recordActive()
 	if d.allDone() {
 		d.finish()
@@ -616,22 +676,81 @@ func (d *Datapath) asyncComplete(lane int) {
 	d.scheduleTick()
 }
 
+// advanceWaves retires every fully complete wave and reclassifies the
+// lanes the barrier held.
 func (d *Datapath) advanceWaves() {
+	from := d.completeWave
 	for d.completeWave+1 < len(d.waveRemaining) && d.waveRemaining[d.completeWave+1] == 0 {
 		d.completeWave++
 	}
-}
-
-func (d *Datapath) allDone() bool {
-	if d.inFlight > 0 {
-		return false
+	if d.completeWave == from || d.classes[laneBarrier] == 0 {
+		return
 	}
-	for i := range d.lanes {
-		if _, ok := d.nextNode(&d.lanes[i]); ok {
-			return false
+	for li := range d.lanes {
+		if d.lanes[li].class == laneBarrier {
+			d.classify(li)
 		}
 	}
-	return d.mem.Drained()
+}
+
+// classify recomputes lane li's class from its state. The class changes
+// only where that state does: on issue, on an async completion, on a wave
+// advance (barrier lanes), and when a dependence-stalled lane's head
+// resolves (complete readies it directly).
+func (d *Datapath) classify(li int) {
+	ln := &d.lanes[li]
+	c := laneReady
+	switch {
+	case ln.blocked:
+		c = laneBlocked
+	case !ln.seek():
+		c = laneExhausted
+	case !d.cfg.NoBarrier && ln.waves[ln.cur] > d.completeWave+1:
+		// Wave barrier: a node may issue only when every prior wave is
+		// fully complete.
+		c = laneBarrier
+	case d.indeg[ln.pc] != 0:
+		c = laneDep
+	}
+	if c != ln.class {
+		d.setClass(li, c)
+	}
+}
+
+// setClass moves lane li to class c, keeping the counts and ready bits.
+func (d *Datapath) setClass(li int, c laneClass) {
+	ln := &d.lanes[li]
+	d.classes[ln.class]--
+	d.classes[c]++
+	ln.class = c
+	if c == laneReady {
+		d.ready[li>>6] |= 1 << (li & 63)
+	} else {
+		d.ready[li>>6] &^= 1 << (li & 63)
+	}
+}
+
+// seek moves the lane's cursor to its next unissued node, across finished
+// iterations, and reports whether one remains; pc is then that node.
+func (ln *laneState) seek() bool {
+	for ln.cur < len(ln.iters) {
+		r := ln.iters[ln.cur]
+		if ln.pc < r.Start {
+			ln.pc = r.Start
+		}
+		if ln.pc < r.End {
+			return true
+		}
+		ln.cur++
+		ln.pc = -1
+	}
+	return false
+}
+
+// allDone reports whether every node has completed and the memory model
+// drained. No lane is blocked once nothing is in flight.
+func (d *Datapath) allDone() bool {
+	return d.inFlight == 0 && d.classes[laneExhausted] == len(d.lanes) && d.mem.Drained()
 }
 
 func (d *Datapath) recordActive() {
