@@ -44,13 +44,9 @@ type laneAssign struct {
 // laneLayout is the full iteration-to-lane assignment for one lane count:
 // the prelude on lane 0 as wave 0, iteration k on lane k%L as wave k/L+1,
 // plus the per-wave node-count template the barrier accounting starts from.
-// iterLane and iterWave map each iteration back to its lane and wave, so a
-// completing node finds the lane it may wake and the wave it counts against
-// without dividing by the lane count.
 type laneLayout struct {
-	lanes              []laneAssign
-	waveRemaining      []int
-	iterLane, iterWave []int32
+	lanes         []laneAssign
+	waveRemaining []int
 }
 
 // CompileProgram flattens g into its scheduling form. The result shares g
@@ -89,11 +85,7 @@ func (p *Program) layout(lanes int) *laneLayout {
 		return lay
 	}
 	g := p.g
-	lay = &laneLayout{
-		lanes:    make([]laneAssign, lanes),
-		iterLane: make([]int32, len(g.IterRange)),
-		iterWave: make([]int32, len(g.IterRange)),
-	}
+	lay = &laneLayout{lanes: make([]laneAssign, lanes)}
 	nWaves := 1 + (len(g.IterRange)+lanes-1)/lanes
 	lay.waveRemaining = make([]int, nWaves+1)
 	if g.Prelude.Len() > 0 {
@@ -107,7 +99,6 @@ func (p *Program) layout(lanes int) *laneLayout {
 		lay.lanes[lane].iters = append(lay.lanes[lane].iters, r)
 		lay.lanes[lane].waves = append(lay.lanes[lane].waves, wave)
 		lay.waveRemaining[wave] += r.Len()
-		lay.iterLane[k], lay.iterWave[k] = int32(lane), int32(wave)
 	}
 	p.layouts[lanes] = lay
 	return lay

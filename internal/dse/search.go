@@ -170,10 +170,6 @@ func (sp SearchSpace) Config(idx []int) soc.Config {
 // such as a 64-way 2 KB cache of 64 B lines is skipped. It is how a sweep
 // enumerates a grid: every point is visited, so validate and bound the
 // space (Validate, Size) before walking one a client described.
-//
-// Validate reads the fabric kind only to check that it is known, so under
-// a fabric axis each point is validated once, under the axis's first known
-// kind, and its verdict is replicated under the other known kinds.
 func (sp SearchSpace) Grid() []soc.Config {
 	n := sp.Size()
 	if n == 0 {
@@ -181,56 +177,19 @@ func (sp SearchSpace) Grid() []soc.Config {
 	}
 	out := make([]soc.Config, 0, n)
 	idx := make([]int, len(sp.Axes))
-	// walk appends the valid points of every combination of axes lo..len-1,
-	// the others held at idx.
-	walk := func(lo int) {
-		for ok := true; ok; ok = sp.step(idx, lo, len(idx)) {
-			if c := sp.Config(idx); c.Validate() == nil {
-				out = append(out, c)
-			}
+	for {
+		if c := sp.Config(idx); c.Validate() == nil {
+			out = append(out, c)
 		}
-	}
-	isFabric := func(a SearchAxis) bool { return a.Name == "fabric" }
-	f := slices.IndexFunc(sp.Axes, isFabric)
-	if f < 0 || slices.ContainsFunc(sp.Axes[f+1:], isFabric) {
-		walk(0)
-		return out
-	}
-	for ok := true; ok; ok = sp.step(idx, 0, f) {
-		from, to := -1, 0
-		for i, v := range sp.Axes[f].Values {
-			kind := soc.FabricKind(v)
-			switch {
-			case !slices.Contains(soc.FabricKinds(), kind):
-			case from < 0:
-				idx[f] = i
-				from = len(out)
-				walk(f + 1)
-				to = len(out)
-			default:
-				at := len(out)
-				out = append(out, out[from:to]...)
-				for j := at; j < len(out); j++ {
-					out[j].Fabric.Kind = kind
-				}
-			}
+		i := len(idx) - 1
+		for ; i >= 0 && idx[i]+1 == len(sp.Axes[i].Values); i-- {
+			idx[i] = 0
 		}
-	}
-	return out
-}
-
-// step advances idx over axes lo..hi-1 as an odometer, the last axis
-// fastest, and reports false, with those indices back at zero, once they
-// wrap.
-func (sp SearchSpace) step(idx []int, lo, hi int) bool {
-	for i := hi - 1; i >= lo; i-- {
-		if idx[i]+1 < len(sp.Axes[i].Values) {
-			idx[i]++
-			return true
+		if i < 0 {
+			return out
 		}
-		idx[i] = 0
+		idx[i]++
 	}
-	return false
 }
 
 // Rank maps axis indices to the point's lexicographic rank in the cross

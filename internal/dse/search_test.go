@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"gem5aladdin/internal/sim"
@@ -139,53 +138,6 @@ func TestGridAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { sp.Grid() }); a > 2 {
 		t.Errorf("Grid allocates %.0f times, want <= 2", a)
-	}
-}
-
-// TestGridMatchesPlainWalk: validating each point once under a fabric axis
-// and replicating the verdict keeps exactly the points, in exactly the
-// order, that validating every point in rank order keeps — wherever the
-// fabric axis sits, with a kind Validate rejects among its values, and
-// with the axis given twice.
-func TestGridMatchesPlainWalk(t *testing.T) {
-	base := soc.DefaultConfig()
-	base.Mem = soc.Cache
-	fabric := SearchAxis{Name: "fabric", Values: []int{9, 2, 0, 7, 1}}
-	cache := []SearchAxis{
-		{Name: "cache_kb", Values: []int{2, 8, 64}},
-		{Name: "cache_line", Values: []int{16, 64}},
-		{Name: "cache_assoc", Values: []int{1, 64}},
-	}
-	spaces := map[string][]SearchAxis{
-		"first":  append([]SearchAxis{fabric}, cache...),
-		"middle": {cache[0], fabric, cache[1], cache[2]},
-		"last":   append(slices.Clone(cache), fabric),
-		"twice":  {fabric, cache[0], cache[1], {Name: "fabric", Values: []int{1, 5}}},
-	}
-	for name, axes := range spaces {
-		sp := SearchSpace{Base: base, Axes: axes}
-		var want []soc.Config
-		for r := uint64(0); r < sp.Size(); r++ {
-			if c := sp.Config(sp.Unrank(r)); c.Validate() == nil {
-				want = append(want, c)
-			}
-		}
-		got := sp.Grid()
-		if len(want) == 0 || len(want) == int(sp.Size()) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Grid kept %d points, the plain walk %d of %d", name, len(got), len(want), sp.Size())
-		}
-	}
-}
-
-// BenchmarkGridFabrics walks the full Fig 3 cache grid crossed with every
-// fabric backend (2,160 points).
-func BenchmarkGridFabrics(b *testing.B) {
-	base := soc.DefaultConfig()
-	base.Mem = soc.Cache
-	sp := GridSpace(base, true, soc.FabricKinds())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp.Grid()
 	}
 }
 
