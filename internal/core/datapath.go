@@ -164,8 +164,8 @@ type laneState struct {
 // taken in this precedence: blocked on an async memory completion (a memory
 // stall), exhausted (nothing left to issue), held by the wave barrier,
 // waiting on a dependence, else ready to attempt its head node. Only ready
-// lanes are visited on a tick; the other classes count their stalls in
-// bulk.
+// lanes are visited on a tick; the other classes add their stalls as class
+// counts.
 type laneClass uint8
 
 const (
@@ -187,8 +187,6 @@ type Datapath struct {
 
 	indeg []int32
 	lanes []laneState
-	// iterLane and iterWave alias the lane layout's per-iteration tables.
-	iterLane, iterWave []int32
 	// ready has one bit per lane whose class is laneReady, so a tick visits
 	// those lanes in ascending order without scanning the rest; readyWord
 	// backs it up to 64 lanes, so that case allocates nothing. classes counts
@@ -315,7 +313,6 @@ func (d *Datapath) reinit(eng *sim.Engine, p *Program, cfg Config, mem MemModel)
 	// is wave k/L + 1. The per-run state is just the cursors and a copy of
 	// the wave-counter template.
 	lay := p.layout(cfg.Lanes)
-	d.iterLane, d.iterWave = lay.iterLane, lay.iterWave
 	d.lanes = grow(d.lanes, cfg.Lanes)
 	for i := range d.lanes {
 		ln := &d.lanes[i]
@@ -486,7 +483,7 @@ func (d *Datapath) tick() {
 		if !ok {
 			return
 		}
-		if d.eng.Advance(d.edge(next), d.cfg.Clock.Period, 1) == 0 {
+		if !d.eng.Advance(d.edge(next)) {
 			d.eng.ScheduleEvent(d.edge(next), d.tickEv)
 			d.tickScheduled = true
 			return
@@ -573,30 +570,6 @@ func (d *Datapath) runCycle() (next uint64, ok bool) {
 	if !anyIssued && !stalled {
 		return d.nextCompletionCycle()
 	}
-	// A dead run: no lane is left ready and some lane waits on a dependence
-	// or the barrier, so each cycle before the next ring completion stalls
-	// the lanes as they stand now and issues nothing, unless another event
-	// lands first. Take those cycles inline in one call and count them in
-	// bulk. Without a pending ring completion there is no end to skip to,
-	// so a datapath waiting only on async memory ticks cycle by cycle.
-	var nc uint64
-	dead := false
-	if d.classes[laneReady] == 0 && d.classes[laneBarrier]+d.classes[laneDep] > 0 {
-		nc, dead = d.nextCompletionCycle()
-	}
-	if !dead || nc <= d.cycle+1 {
-		return d.cycle + 1, true
-	}
-	k := d.eng.Advance(d.edge(d.cycle+1), d.cfg.Clock.Period, nc-d.cycle-1)
-	d.stats.MemStalls += k * uint64(d.classes[laneBlocked])
-	d.stats.BarrierStalls += k * uint64(d.classes[laneBarrier])
-	d.stats.DepStalls += k * uint64(d.classes[laneDep])
-	d.stats.ActiveCycles += k
-	// This cycle was active (a ring completion is in flight), so the
-	// skipped cycles extend its open compute interval.
-	d.cycle += k
-	d.lastActive = d.cycle
-	d.intervals[len(d.intervals)-1].End = uint64(d.edge(d.cycle + 1))
 	return d.cycle + 1, true
 }
 
@@ -642,7 +615,7 @@ func (d *Datapath) complete(id int32) {
 			panic(fmt.Sprintf("core: node %d dependence underflow", s))
 		}
 		if lane, _ := d.place(s); d.lanes[lane].class == laneDep && d.lanes[lane].pc == s {
-			d.setClass(int(lane), laneReady)
+			d.setClass(lane, laneReady)
 		}
 	}
 	_, w := d.place(id)
@@ -653,10 +626,10 @@ func (d *Datapath) complete(id int32) {
 }
 
 // place returns the lane and wave node id runs in: lane 0 and wave 0 for
-// the prelude, else its iteration's entries in the layout tables.
-func (d *Datapath) place(id int32) (lane, wave int32) {
-	if it := d.prog.iter[id]; it >= 0 {
-		return d.iterLane[it], d.iterWave[it]
+// the prelude, else iteration k's lane k%L and wave k/L+1.
+func (d *Datapath) place(id int32) (lane, wave int) {
+	if it := int(d.prog.iter[id]); it >= 0 {
+		return it % d.cfg.Lanes, it/d.cfg.Lanes + 1
 	}
 	return 0, 0
 }

@@ -31,7 +31,7 @@ func runDriven(t *testing.T, g *ddg.Graph, cfg Config, inline bool) (*Result, ui
 	return res, eng.EventsFired()
 }
 
-// TestDeadRunAccounting runs a hand-built DDG on two lanes. Iteration 0
+// TestStallAccounting runs a hand-built DDG on two lanes. Iteration 0
 // (lane 0, wave 1) is a 15-cycle OpFDiv A, then an independent IAdd A2.
 // Iteration 1 (lane 1, wave 1) is B = A + 1.0, so lane 1 waits on lane 0.
 // Iteration 2 (lane 0, wave 2) is C = B + 1.0: lane 0 waits on lane 1 and
@@ -40,9 +40,9 @@ func runDriven(t *testing.T, g *ddg.Graph, cfg Config, inline bool) (*Result, ui
 //	cycle 0       A issues (visible at 15); lane 1 waits on A
 //	cycle 1       A2 issues (visible at 2); lane 0 reaches the barrier
 //	cycle 2       A2 completes; lane 0 barrier, lane 1 dependence
-//	cycles 3-14   the same: a dead run, taken in one call
+//	cycles 3-14   the same
 //	cycle 15      A completes and readies lane 1; B issues (visible at 18)
-//	cycles 16-17  lane 0 barrier: a dead run
+//	cycles 16-17  lane 0 barrier
 //	cycle 18      B completes and wave 1 retires; C issues (visible at 21)
 //	cycle 19      C in flight; nothing can change before cycle 21
 //	cycle 21      C completes; the datapath finishes
@@ -51,8 +51,8 @@ func runDriven(t *testing.T, g *ddg.Graph, cfg Config, inline bool) (*Result, ui
 // ActiveCycles cycles 0-19, in one compute interval: cycle 20 is never
 // ticked, so it counts toward Cycles alone. The engine fires one event per
 // ticked cycle (0-19 and 21) whether they are taken inline or scheduled.
-func TestDeadRunAccounting(t *testing.T) {
-	b := trace.NewBuilder("deadrun")
+func TestStallAccounting(t *testing.T) {
+	b := trace.NewBuilder("stalls")
 	b.BeginIter()
 	a := b.FDiv(b.ConstF(1), b.ConstF(3))
 	b.IAdd(b.ConstI(1), b.ConstI(2))

@@ -10,48 +10,29 @@ import (
 )
 
 // clockChain is a clocked component whose callback fires every period.
-// Every echoEvery-th edge is live: it also schedules an echo event at its
-// own tick. The other edges are dead: they only log their time. With batch
-// 0 the chain schedules each next edge. Otherwise it takes a run of dead
-// edges ahead inline in one Advance call, up to batch of them, logging
-// them in bulk, then asks for the next edge alone, and schedules only the
+// Every echoEvery-th edge also schedules an echo event at its own tick.
+// Scheduled, the chain schedules each next edge; inline, it takes each next
+// edge it can inside the running callback (Advance) and schedules only the
 // first edge refused.
 type clockChain struct {
 	e         *Engine
 	period    Tick
-	batch     uint64
+	inline    bool
 	echoEvery int
 	edges     int
-	maxRun    uint64 // the most dead edges one Advance call took
 	ev        *Event
 	log       *[]string
 }
 
-func (c *clockChain) edge(at Tick) {
-	c.edges++
-	*c.log = append(*c.log, fmt.Sprintf("clk@%d", at))
-	if c.edges%c.echoEvery == 0 {
-		c.e.Schedule(at, func() { *c.log = append(*c.log, fmt.Sprintf("echo@%d", c.e.Now())) })
-	}
-}
-
 func (c *clockChain) fire() {
 	for {
-		c.edge(c.e.Now())
+		c.edges++
+		*c.log = append(*c.log, fmt.Sprintf("clk@%d", c.e.Now()))
+		if c.edges%c.echoEvery == 0 {
+			c.e.Schedule(c.e.Now(), func() { *c.log = append(*c.log, fmt.Sprintf("echo@%d", c.e.Now())) })
+		}
 		next := c.e.Now() + c.period
-		if c.batch == 0 {
-			c.e.ScheduleEvent(next, c.ev)
-			return
-		}
-		if dead := uint64(c.echoEvery - 1 - c.edges%c.echoEvery); dead > 0 {
-			k := c.e.Advance(next, c.period, min(dead, c.batch))
-			c.maxRun = max(c.maxRun, k)
-			for i := uint64(0); i < k; i++ {
-				c.edge(next + Tick(i)*c.period)
-			}
-			next += Tick(k) * c.period
-		}
-		if c.e.Advance(next, c.period, 1) == 0 {
+		if !c.inline || !c.e.Advance(next) {
 			c.e.ScheduleEvent(next, c.ev)
 			return
 		}
@@ -62,11 +43,11 @@ func (c *clockChain) fire() {
 // some edges land on a background event's tick) beside a background event
 // every 45 ticks, under RunGuarded with the budget, and returns the log,
 // the stall and the final sequence number.
-func chainRun(t *testing.T, batch uint64, budget Tick) ([]string, *StallError, uint64) {
+func chainRun(t *testing.T, inline bool, budget Tick) ([]string, *StallError, uint64) {
 	t.Helper()
 	e := NewEngine()
 	var log []string
-	c := &clockChain{e: e, period: 7, batch: batch, echoEvery: 5, log: &log}
+	c := &clockChain{e: e, period: 7, inline: inline, echoEvery: 5, log: &log}
 	c.ev = NewEvent(c.fire)
 	var bg func()
 	bg = func() {
@@ -78,52 +59,46 @@ func chainRun(t *testing.T, batch uint64, budget Tick) ([]string, *StallError, u
 	_, err := e.RunGuarded(budget)
 	var st *StallError
 	if !errors.As(err, &st) {
-		t.Fatalf("batch %d: err = %v, want a budget stall", batch, err)
-	}
-	if batch > 1 && c.maxRun < 2 {
-		t.Fatalf("batch %d: no Advance call took more than one dead edge", batch)
+		t.Fatalf("inline %v: err = %v, want a budget stall", inline, err)
 	}
 	return log, st, e.seq
 }
 
-// TestAdvanceMatchesScheduledUnderBudget takes the same chain inline, one
-// or several edges per call, and scheduled. The events, their order, the
-// sequence numbers and the budget abort's time, fired and pending counts
-// must all agree.
+// TestAdvanceMatchesScheduledUnderBudget takes the same chain inline and
+// scheduled. The events, their order, the sequence numbers and the budget
+// abort's time, fired and pending counts must all agree.
 func TestAdvanceMatchesScheduledUnderBudget(t *testing.T) {
-	// At budget 190 the last edge within it (185) is followed by two dead
-	// edges, so only the budget check stops a run of them.
+	// At budget 190 the edge at 185 is within it and the one at 192 is
+	// not due behind any other event, so only the budget check stops the
+	// chain after 192.
 	for _, budget := range []Tick{150, 190, 200} {
-		wantLog, want, wantSeq := chainRun(t, 0, budget)
-		for _, batch := range []uint64{1, 3, 100} {
-			log, st, seq := chainRun(t, batch, budget)
-			if !reflect.DeepEqual(log, wantLog) {
-				t.Fatalf("budget %d batch %d: log %v, want %v", budget, batch, log, wantLog)
-			}
-			if st.Now != want.Now || st.EventsFired != want.EventsFired ||
-				st.PendingEvents != want.PendingEvents || seq != wantSeq {
-				t.Fatalf("budget %d batch %d: abort at %v after %d events (%d pending, seq %d), want %v after %d (%d pending, seq %d)",
-					budget, batch, st.Now, st.EventsFired, st.PendingEvents, seq,
-					want.Now, want.EventsFired, want.PendingEvents, wantSeq)
-			}
+		wantLog, want, wantSeq := chainRun(t, false, budget)
+		log, st, seq := chainRun(t, true, budget)
+		if !reflect.DeepEqual(log, wantLog) {
+			t.Fatalf("budget %d: log %v, want %v", budget, log, wantLog)
+		}
+		if st.Now != want.Now || st.EventsFired != want.EventsFired ||
+			st.PendingEvents != want.PendingEvents || seq != wantSeq {
+			t.Fatalf("budget %d: abort at %v after %d events (%d pending, seq %d), want %v after %d (%d pending, seq %d)",
+				budget, st.Now, st.EventsFired, st.PendingEvents, seq,
+				want.Now, want.EventsFired, want.PendingEvents, wantSeq)
 		}
 	}
 }
 
 // TestAdvanceRefusesDueEvents: an event already due at the step's time,
 // whether at the heap head or in the same-tick FIFO, refuses the step and
-// fires before it.
+// fires before it; an event after it does not.
 func TestAdvanceRefusesDueEvents(t *testing.T) {
 	for _, where := range []string{"heap", "fifo"} {
 		e := NewEngine()
 		var order []string
-		var took uint64
+		took := true
 		e.Schedule(10, func() {
 			if where == "fifo" {
 				e.Schedule(10, func() { order = append(order, "other") })
 			}
-			took = e.Advance(20, 10, 1)
-			if took == 0 {
+			if took = e.Advance(20); !took {
 				e.Schedule(20, func() { order = append(order, "step") })
 			}
 		})
@@ -131,72 +106,71 @@ func TestAdvanceRefusesDueEvents(t *testing.T) {
 			e.Schedule(20, func() { order = append(order, "other") })
 		}
 		e.Run()
-		if took != 0 || !reflect.DeepEqual(order, []string{"other", "step"}) {
-			t.Fatalf("%s: took %d, order %v; want 0 and [other step]", where, took, order)
+		if took || !reflect.DeepEqual(order, []string{"other", "step"}) {
+			t.Fatalf("%s: took %v, order %v; want false and [other step]", where, took, order)
 		}
 	}
 
-	// A later event bounds a multi-step advance to the edges before it.
 	e := NewEngine()
-	var took uint64
-	e.Schedule(10, func() { took = e.Advance(20, 10, 5) })
-	e.Schedule(50, func() {})
+	took := false
+	e.Schedule(10, func() { took = e.Advance(20) })
+	e.Schedule(21, func() {})
 	e.Run()
-	if took != 3 {
-		t.Fatalf("advanced %d edges before an event at 50, want 3 (20, 30, 40)", took)
+	if !took {
+		t.Fatal("an event at 21 refused the step at 20")
 	}
 }
 
 // TestAdvanceRefusedOutsideRun: an enabled probe, a pending abort, and an
 // engine driven by Step or RunUntil each refuse the step; the same request
-// under Run with nothing else queued takes every step.
+// under Run with nothing else queued takes it.
 func TestAdvanceRefusedOutsideRun(t *testing.T) {
-	ask := func(e *Engine) *uint64 {
-		took := new(uint64)
-		e.Schedule(10, func() { *took = e.Advance(20, 10, 4) })
+	ask := func(e *Engine) *bool {
+		took := new(bool)
+		e.Schedule(10, func() { *took = e.Advance(20) })
 		return took
 	}
 
 	e := NewEngine()
 	took := ask(e)
 	e.Run()
-	if *took != 4 || e.Now() != 50 || e.EventsFired() != 5 {
-		t.Fatalf("under Run: took %d, now %v, fired %d; want 4, 50, 5", *took, e.Now(), e.EventsFired())
+	if !*took || e.Now() != 20 || e.EventsFired() != 2 {
+		t.Fatalf("under Run: took %v, now %v, fired %d; want true, 20, 2", *took, e.Now(), e.EventsFired())
 	}
 
 	e = NewEngine()
 	p := &obs.Probe{}
 	p.Listen(func(obs.Event) {})
 	e.SetProbe(p)
-	if took = ask(e); e.Run() != 10 || *took != 0 {
-		t.Fatalf("with a probe listening: took %d", *took)
+	if took = ask(e); e.Run() != 10 || *took {
+		t.Fatalf("with a probe listening: took %v", *took)
 	}
 
 	e = NewEngine()
 	e.Schedule(10, func() {
 		e.Abort(errors.New("stop"))
-		*took = e.Advance(20, 10, 4)
+		*took = e.Advance(20)
 	})
-	if _, err := e.RunGuarded(0); err == nil || *took != 0 {
-		t.Fatalf("with an abort pending: took %d, err %v", *took, err)
+	if _, err := e.RunGuarded(0); err == nil || *took {
+		t.Fatalf("with an abort pending: took %v, err %v", *took, err)
 	}
 
 	e = NewEngine()
 	took = ask(e)
 	e.Step()
-	if *took != 0 {
-		t.Fatalf("under Step: took %d", *took)
+	if *took {
+		t.Fatal("under Step: took the step")
 	}
 
 	e = NewEngine()
 	took = ask(e)
 	e.RunUntil(100)
-	if *took != 0 {
-		t.Fatalf("under RunUntil: took %d", *took)
+	if *took {
+		t.Fatal("under RunUntil: took the step")
 	}
 }
 
-// TestAdvanceKeepsScheduleOrder: after n steps in one call the sequence
+// TestAdvanceKeepsScheduleOrder: after three inline steps the sequence
 // number and fired count equal the scheduled path's, and events scheduled
 // at one later tick — one before the steps, two after — fire in schedule
 // order.
@@ -212,8 +186,10 @@ func TestAdvanceKeepsScheduleOrder(t *testing.T) {
 		}
 		if inline {
 			e.Schedule(10, func() {
-				if e.Advance(20, 10, 3) != 3 {
-					t.Fatal("the edges at 20, 30 and 40 were refused")
+				for _, at := range []Tick{20, 30, 40} {
+					if !e.Advance(at) {
+						t.Fatalf("the edge at %d was refused", at)
+					}
 				}
 				last()
 			})
@@ -245,14 +221,14 @@ func TestAdvanceKeepsScheduleOrder(t *testing.T) {
 // dispatched by the loop that was running before it.
 func TestResetClearsRunState(t *testing.T) {
 	e := NewEngine()
-	took := uint64(1)
+	took := true
 	e.Schedule(5, func() {
 		e.Reset()
-		took = e.Advance(20, 10, 1)
+		took = e.Advance(20)
 	})
 	e.RunGuarded(1000)
-	if took != 0 {
-		t.Fatalf("after a reset mid-run: took %d steps", took)
+	if took {
+		t.Fatal("after a reset mid-run: took the step")
 	}
 	e.running, e.budget = true, 1000
 	e.Reset()

@@ -19,17 +19,6 @@
 // of lingering in the slice's spare capacity. Components with recurring
 // callbacks (tick loops) pre-bind them once via NewEvent and reschedule the
 // handle, so the hot loop allocates no closures either.
-//
-// # Inline advance
-//
-// A clocked component whose next event is its own next edge can take that
-// edge inside the running callback (Advance) instead of scheduling it and
-// returning to the dispatch loop. A step is taken only when it is the event
-// the loop would dispatch next anyway — nothing else is due at or before it
-// and nothing watches or stops the loop in between — and it consumes the
-// sequence number and the fired count that scheduling and dispatching would
-// have. So the (when, seq) order of every event, EventsFired and every
-// budget abort are the same whether a step was taken inline or not.
 package sim
 
 import (
@@ -245,33 +234,26 @@ func (e *Engine) Run() Tick {
 // refuses steps under Step and RunUntil.
 func (e *Engine) stopped() { e.running, e.budget = false, 0 }
 
-// Advance lets the running callback take its next n events, due at first,
-// first+period, first+2·period, …, inline instead of scheduling them. A
-// step is taken only when it would be the next dispatch anyway: no other
-// event is due at or before it, in the heap or the same-tick FIFO; no
-// probe is listening and no abort is pending; and Run or RunGuarded drives
-// the engine, with the step passing RunGuarded's budget check. Each step
-// moves the clock to its time and consumes one sequence number and one
-// EventsFired, exactly as scheduling and dispatching it would, so taking a
-// step inline changes neither the order of any event nor what the watchdog
-// reports. Advance returns the number of steps taken; the caller schedules
-// the first step not taken, if it still wants one.
-func (e *Engine) Advance(first, period Tick, n uint64) uint64 {
-	if !e.running || e.fifoLen > 0 || e.abortErr != nil || e.probe.Enabled() {
-		return 0
+// Advance lets the running callback take its next event, due at when,
+// inline instead of scheduling it. The step is taken only when it would be
+// the next dispatch anyway: no other event is due at or before it, in the
+// heap or the same-tick FIFO; no probe is listening and no abort is
+// pending; and Run or RunGuarded drives the engine, with the step passing
+// RunGuarded's budget check. The step moves the clock to when and consumes
+// one sequence number and one EventsFired, exactly as scheduling and
+// dispatching it would, so taking it inline changes neither the order of
+// any event nor what the watchdog reports. Advance reports whether it took
+// the step; if not, the caller schedules the event, if it still wants it.
+func (e *Engine) Advance(when Tick) bool {
+	if !e.running || e.fifoLen > 0 || e.abortErr != nil || e.probe.Enabled() ||
+		when < e.now || len(e.heap) > 0 && e.heap[0].when <= when ||
+		e.budget != 0 && e.now > e.budget {
+		return false
 	}
-	var k uint64
-	for when := first; k < n; when += period {
-		if when < e.now || len(e.heap) > 0 && e.heap[0].when <= when ||
-			e.budget != 0 && e.now > e.budget {
-			break
-		}
-		e.now = when
-		e.seq++
-		e.fired++
-		k++
-	}
-	return k
+	e.now = when
+	e.seq++
+	e.fired++
+	return true
 }
 
 // RunUntil fires events with time <= deadline. Events beyond the deadline

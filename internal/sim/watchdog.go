@@ -142,9 +142,8 @@ func (e *Engine) stallError(reason string) *StallError {
 //     reported in-flight work (lost-callback guard).
 //
 // A clean drain with no in-flight work returns a nil error, with behavior
-// (event order, final time) identical to Run. A step a callback takes
-// inline (Advance) passes the same budget and abort checks first, so a run
-// aborts at the same time and event count either way.
+// (event order, final time) identical to Run. See Advance for the steps a
+// callback takes inline.
 func (e *Engine) RunGuarded(budget Tick) (Tick, error) {
 	e.running, e.budget = true, budget
 	defer e.stopped()
