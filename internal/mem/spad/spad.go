@@ -32,7 +32,7 @@ func DefaultConfig() Config { return Config{Partitions: 1, Ports: 1} }
 type Stats struct {
 	Reads, Writes  uint64
 	BankConflicts  uint64 // accesses delayed by port exhaustion
-	ReadyBitStalls uint64 // loads that found their full/empty bit clear
+	ReadyBitStalls uint64 // lane-cycles a load waited on a clear full/empty bit
 }
 
 // Spad holds the per-array bank state for one accelerator instance.
@@ -49,9 +49,8 @@ type Spad struct {
 }
 
 type arrayState struct {
-	elemSize   uint32
-	length     uint32 // elements
-	bankOfElem func(elem uint32) int
+	elemSize uint32
+	length   uint32 // elements
 	// port bookkeeping: accesses issued per bank in the current cycle
 	cycle     uint64
 	usedPorts []int
@@ -64,14 +63,11 @@ func New(cfg Config, arrays []*trace.Array) *Spad {
 	}
 	s := &Spad{cfg: cfg}
 	for _, a := range arrays {
-		p := cfg.Partitions
-		st := arrayState{
+		s.arrays = append(s.arrays, arrayState{
 			elemSize:  a.Elem.Size(),
 			length:    uint32(a.Len),
-			usedPorts: make([]int, p),
-		}
-		st.bankOfElem = func(elem uint32) int { return int(elem % uint32(p)) }
-		s.arrays = append(s.arrays, st)
+			usedPorts: make([]int, cfg.Partitions),
+		})
 	}
 	return s
 }
@@ -95,7 +91,7 @@ func (s *Spad) RegisterStats(reg *obs.Registry, prefix string) {
 		func() uint64 { return s.stats.Writes })
 	reg.CounterFunc(prefix+".bank_conflicts", "accesses delayed by port exhaustion",
 		func() uint64 { return s.stats.BankConflicts })
-	reg.CounterFunc(prefix+".ready_bit_stalls", "loads stalled on a clear full/empty bit",
+	reg.CounterFunc(prefix+".ready_bit_stalls", "lane-cycles a load waited on a clear full/empty bit",
 		func() uint64 { return s.stats.ReadyBitStalls })
 }
 
@@ -158,6 +154,11 @@ func (s *Spad) DataReady(arr int16, off uint32, size uint8) bool {
 	return true
 }
 
+// AddReadyBitStalls counts n more lane-cycles of loads waiting on a clear
+// full/empty bit: a scheduler that parks a refused load, instead of asking
+// DataReady again every cycle, reports the cycles it waited here.
+func (s *Spad) AddReadyBitStalls(n uint64) { s.stats.ReadyBitStalls += n }
+
 // TryAccess attempts a scratchpad access in the given accelerator cycle and
 // reports whether a bank port was available. Ports free at every new cycle.
 func (s *Spad) TryAccess(arr int16, off uint32, write bool, cycle uint64) bool {
@@ -168,7 +169,8 @@ func (s *Spad) TryAccess(arr int16, off uint32, write bool, cycle uint64) bool {
 			st.usedPorts[i] = 0
 		}
 	}
-	bank := st.bankOfElem(off / st.elemSize)
+	// Cyclic partitioning: element e lives in bank e mod P.
+	bank := (off / st.elemSize) % uint32(s.cfg.Partitions)
 	if st.usedPorts[bank] >= s.cfg.Ports {
 		s.stats.BankConflicts++
 		return false
