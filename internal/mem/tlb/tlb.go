@@ -6,6 +6,8 @@
 package tlb
 
 import (
+	"math/bits"
+
 	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/sim"
 )
@@ -13,7 +15,7 @@ import (
 // Config describes a TLB instance.
 type Config struct {
 	Entries     int      // fully-associative entry count (8 in the paper)
-	PageBytes   uint64   // page size (4 KB)
+	PageBytes   uint64   // page size (4 KB); a power of two
 	MissLatency sim.Tick // page-walk penalty (200 ns)
 }
 
@@ -33,10 +35,11 @@ type Stats struct {
 // host program allocates its buffers); what the TLB models is the *timing*
 // of translation.
 type TLB struct {
-	cfg     Config
-	entries []tlbEntry
-	clock   uint64 // LRU timestamp source
-	stats   Stats
+	cfg       Config
+	entries   []tlbEntry
+	pageShift int    // log2(PageBytes): the page number is vaddr >> pageShift
+	clock     uint64 // LRU timestamp source
+	stats     Stats
 	// physOffset relocates virtual pages into the physical space; a
 	// nonzero value keeps accidental vaddr==paddr assumptions out of
 	// downstream components.
@@ -62,10 +65,14 @@ func NewWithOffset(cfg Config, physOffset uint64) *TLB {
 	if cfg.Entries <= 0 || cfg.PageBytes == 0 {
 		panic("tlb: invalid config")
 	}
+	if cfg.PageBytes&(cfg.PageBytes-1) != 0 {
+		panic("tlb: page size not a power of two")
+	}
 	if physOffset%cfg.PageBytes != 0 {
 		panic("tlb: physical offset not page aligned")
 	}
-	return &TLB{cfg: cfg, entries: make([]tlbEntry, cfg.Entries), physOffset: physOffset}
+	return &TLB{cfg: cfg, entries: make([]tlbEntry, cfg.Entries),
+		pageShift: bits.TrailingZeros64(cfg.PageBytes), physOffset: physOffset}
 }
 
 // Stats returns a copy of the hit/miss counters.
@@ -94,7 +101,7 @@ func (t *TLB) RegisterStats(reg *obs.Registry, prefix string) {
 // translation latency: zero on a hit, the miss penalty on a miss (the walk
 // is modeled analytically, as in the paper).
 func (t *TLB) Translate(vaddr uint64) (paddr uint64, penalty sim.Tick) {
-	vpn := vaddr / t.cfg.PageBytes
+	vpn := vaddr >> t.pageShift
 	t.clock++
 	paddr = vaddr + t.physOffset
 

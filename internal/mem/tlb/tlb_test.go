@@ -97,6 +97,32 @@ func TestInvalidConfigPanics(t *testing.T) {
 	New(Config{Entries: 0, PageBytes: 4096})
 }
 
+// TestPageNumberShiftMatchesDivision checks that the shift Translate takes
+// the page number with agrees with dividing by the page size: a second
+// address hits the entry the first one installed exactly when both have
+// the same vaddr / PageBytes.
+func TestPageNumberShiftMatchesDivision(t *testing.T) {
+	for _, page := range []uint64{1, 2, 64, 4096, 1 << 16, 1 << 21} {
+		addrs := []uint64{0, 1, page - 1, page, page + 1, 3*page - 1, 0x12345678, 1<<40 + 3, ^uint64(0) >> 1}
+		for _, a := range addrs {
+			for _, b := range addrs {
+				tl := New(Config{Entries: 1, PageBytes: page, MissLatency: 1})
+				tl.Translate(a)
+				_, p := tl.Translate(b)
+				if hit, same := p == 0, a/page == b/page; hit != same {
+					t.Fatalf("page %d: %#x then %#x hit=%v, but the page numbers equal=%v", page, a, b, hit, same)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a page size that is not a power of two did not panic")
+		}
+	}()
+	New(Config{Entries: 8, PageBytes: 3000})
+}
+
 // Property: translation preserves page offsets and is injective per page.
 func TestTranslationProperty(t *testing.T) {
 	tl := New(DefaultConfig())
