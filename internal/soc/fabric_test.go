@@ -68,7 +68,7 @@ func TestFabricBusBitIdentical(t *testing.T) {
 func TestFabricRunnerMatchesRun(t *testing.T) {
 	g := streamKernel(512)
 	k := Compile(g)
-	r := NewRunner()
+	var r Runner
 	for _, mem := range []MemKind{DMA, Cache} {
 		for name, cfg := range fabricConfigs(mem) {
 			oneShot, err := Run(k, cfg)

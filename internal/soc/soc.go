@@ -728,10 +728,6 @@ type Runner struct {
 	dpScratch core.Scratch
 }
 
-// NewRunner returns an empty Runner. Equivalent to a zero value, provided
-// for symmetry with the rest of the package.
-func NewRunner() *Runner { return &Runner{} }
-
 // Run executes one invocation of the compiled kernel k under cfg, recycling
 // the runner's state. The artifact is read-only here: any number of Runners
 // (one per goroutine) may share one Compiled.
