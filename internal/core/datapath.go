@@ -56,22 +56,31 @@ type IssueStatus uint8
 
 // Issue outcomes.
 const (
-	// IssueRetry: resource or data unavailable; the lane stalls and
-	// retries next cycle (or when Wake fires).
+	// IssueRetry: a port is busy; the lane stalls and retries next cycle.
 	IssueRetry IssueStatus = iota
 	// IssueLocal: access accepted, completes with single-cycle latency.
 	IssueLocal
 	// IssueAsync: access accepted; the lane blocks until the model calls
 	// the provided completion callback.
 	IssueAsync
+	// IssueWait: the data is not there yet (a clear full/empty bit). The
+	// lane parks, and asks again once after the datapath's next Wake.
+	IssueWait
 )
 
 // MemModel abstracts the accelerator's local memory interface.
 type MemModel interface {
 	// Issue attempts the memory access of node id at the given
 	// accelerator cycle. complete must be invoked iff the return is
-	// IssueAsync.
+	// IssueAsync. A model may answer IssueWait only where its owner calls
+	// Datapath.Wake whenever the answer may change: a parked lane is not
+	// asked again before that.
 	Issue(id int32, n *trace.Node, cycle uint64, complete func()) IssueStatus
+	// Parked counts one ticked cycle on which the given number of lanes
+	// stay parked on IssueWait, as if each had been refused again: the
+	// lane-cycles a load waited on a clear full/empty bit. The datapath
+	// calls it at most once per cycle, and only with lanes > 0.
+	Parked(lanes int)
 	// Drained reports whether all outstanding accesses have finished
 	// (mfence semantics before signaling completion to the CPU).
 	Drained() bool
@@ -97,6 +106,10 @@ type Config struct {
 // completion can land; it must exceed the largest functional-unit latency.
 const completionWindow = 64
 
+// ringEntry is one pending result in the completion ring: the node and the
+// wave it counts against.
+type ringEntry struct{ id, wave int32 }
+
 // ScheduleEntry records when one node issued and when its result became
 // visible, in ticks.
 type ScheduleEntry struct {
@@ -114,7 +127,9 @@ type Stats struct {
 	ActiveCycles uint64 // ticked cycles that issued an op or had one in flight
 	OpsIssued    [trace.NumKinds]uint64
 	// MemStalls counts lane-cycles, over ticked cycles, of a lane retrying
-	// a memory access or blocked on an async one.
+	// a memory access, parked on a clear full/empty bit (the lane-cycles a
+	// load waited on it, which the scratchpad counts as ReadyBitStalls), or
+	// blocked on an async one.
 	MemStalls     uint64
 	DepStalls     uint64 // lane-cycles, over ticked cycles, stalled on dependences
 	BarrierStalls uint64 // lane-cycles, over ticked cycles, stalled on the wave barrier
@@ -152,7 +167,7 @@ type Result struct {
 // while cur/pc/pending/blocked/class are this run's private cursor.
 type laneState struct {
 	iters   []ddg.Range // iteration node ranges, in execution order (shared)
-	waves   []int       // wave index of each entry in iters (shared)
+	waves   []int32     // wave index of each entry in iters (shared)
 	cur     int         // current index into iters
 	pc      int32       // next node within the current range
 	pending int32       // node awaiting an async memory completion
@@ -163,9 +178,12 @@ type laneState struct {
 // laneClass is what a lane does on a tick. A lane has exactly one class,
 // taken in this precedence: blocked on an async memory completion (a memory
 // stall), exhausted (nothing left to issue), held by the wave barrier,
-// waiting on a dependence, else ready to attempt its head node. Only ready
-// lanes are visited on a tick; the other classes add their stalls as class
-// counts.
+// waiting on a dependence, else ready to attempt its head node. A ready
+// lane whose head load was answered IssueWait is parked (laneWait, also a
+// memory stall) until the next Wake readies it again; nothing else moves a
+// parked lane, since its barrier and dependences cannot close again. Only
+// ready lanes are visited on a tick; the other classes add their stalls as
+// class counts.
 type laneClass uint8
 
 const (
@@ -174,6 +192,7 @@ const (
 	laneExhausted
 	laneBarrier
 	laneDep
+	laneWait
 	numLaneClasses
 )
 
@@ -200,21 +219,26 @@ type Datapath struct {
 	// largest allocation source in sweep profiles.
 	completeFns []func()
 
+	// laneMod is ceil(2^64 / Lanes), so that laneOf takes k mod Lanes
+	// without a divide.
+	laneMod uint64
+
 	// wave barrier
 	waveRemaining []int
 	completeWave  int // highest wave index fully complete
 
-	// completion ring: bucket c%completionWindow holds nodes whose
-	// results become visible at cycle c. Functional-unit latencies are
-	// far below the window, so collisions cannot occur. occupied is a
-	// bitmask of non-empty buckets so the per-tick visibility scan walks
-	// only armed buckets (in ascending bucket order, matching the full
-	// scan exactly).
-	completions  [completionWindow][]int32
-	completionAt [completionWindow]uint64 // the cycle each bucket is armed for
-	occupied     uint64
-	pendingSync  int // nodes waiting in the ring
-	inFlight     int // issued but not yet completed nodes
+	// completion ring: bucket c%completionWindow holds the nodes whose
+	// results become visible at cycle c, each with its wave. Every pending
+	// result lands within completionWindow-1 cycles after drained, the
+	// last cycle that drained the ring, so a bucket holds one cycle's
+	// results and the buckets due at cycle c are those of cycles
+	// (drained, c]. occupied is a bitmask of non-empty buckets; the drain
+	// walks the due ones in ascending bucket order.
+	completions [completionWindow][]ringEntry
+	occupied    uint64
+	drained     uint64
+	pendingSync int // nodes waiting in the ring
+	inFlight    int // issued but not yet completed nodes
 
 	cycle         uint64
 	startTick     sim.Tick
@@ -303,6 +327,7 @@ func (d *Datapath) reinit(eng *sim.Engine, p *Program, cfg Config, mem MemModel)
 		}
 	}
 	d.cfg, d.eng, d.prog, d.g, d.mem = cfg, eng, p, g, mem
+	d.laneMod = ^uint64(0)/uint64(cfg.Lanes) + 1
 	d.indeg = grow(d.indeg, n)
 	copy(d.indeg, g.InDeg)
 	if d.tickEv == nil {
@@ -348,7 +373,7 @@ func (d *Datapath) reinit(eng *sim.Engine, p *Program, cfg Config, mem MemModel)
 	for b := range d.completions {
 		d.completions[b] = d.completions[b][:0]
 	}
-	d.occupied, d.pendingSync, d.inFlight = 0, 0, 0
+	d.occupied, d.drained, d.pendingSync, d.inFlight = 0, 0, 0, 0
 	d.cycle, d.startTick = 0, 0
 	d.tickScheduled, d.running, d.finished = false, false, false
 	d.done = nil
@@ -423,11 +448,20 @@ func (d *Datapath) Start(done func(*Result)) {
 }
 
 // Wake nudges the scheduler after an external event (DMA arrival setting a
-// full/empty bit) that may unblock stalled lanes.
+// full/empty bit) that may unblock stalled lanes: every parked lane is
+// ready again and asks the memory model once more on the next tick.
 func (d *Datapath) Wake() {
-	if d.running && !d.finished {
-		d.scheduleTick()
+	if !d.running || d.finished {
+		return
 	}
+	if d.classes[laneWait] > 0 {
+		for li := range d.lanes {
+			if d.lanes[li].class == laneWait {
+				d.setClass(li, laneReady)
+			}
+		}
+	}
+	d.scheduleTick()
 }
 
 func (d *Datapath) scheduleTick() {
@@ -447,21 +481,14 @@ func (d *Datapath) scheduleTick() {
 }
 
 // nextCompletionCycle returns the earliest cycle at which a pending result
-// becomes visible.
+// becomes visible: the first occupied bucket after the last drained cycle.
 func (d *Datapath) nextCompletionCycle() (uint64, bool) {
 	if d.pendingSync == 0 {
 		return 0, false
 	}
-	var best uint64
-	found := false
-	for m := d.occupied; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		if !found || d.completionAt[b] < best {
-			best = d.completionAt[b]
-			found = true
-		}
-	}
-	return best, found
+	from := d.drained + 1
+	off := bits.TrailingZeros64(bits.RotateLeft64(d.occupied, -int(from%completionWindow)))
+	return from + uint64(off), true
 }
 
 // cycleAt converts the current tick into an accelerator cycle index.
@@ -475,11 +502,14 @@ func (d *Datapath) edge(c uint64) sim.Tick { return d.startTick + d.cfg.Clock.Cy
 // tick runs the datapath's cycles. Each next cycle whose edge is the
 // engine's next event anyway is taken inline (sim.Engine.Advance) rather
 // than scheduled, so a busy datapath pays no queue round trip per cycle;
-// the first one that is not is scheduled.
+// the first one that is not is scheduled. Only the tick off the queue
+// converts the time into a cycle; an inline one is the cycle it advanced
+// to.
 func (d *Datapath) tick() {
 	d.tickScheduled = false
+	c := d.cycleAt()
 	for !d.finished {
-		next, ok := d.runCycle()
+		next, ok := d.runCycle(c)
 		if !ok {
 			return
 		}
@@ -488,40 +518,47 @@ func (d *Datapath) tick() {
 			d.tickScheduled = true
 			return
 		}
+		c = next
 	}
 }
 
-// runCycle runs the cycle at the current tick and returns the next cycle
-// to tick at. ok is false once the datapath has finished, or while every
-// unfinished lane waits on an async completion (asyncComplete and Wake
-// reschedule it).
-func (d *Datapath) runCycle() (next uint64, ok bool) {
-	d.cycle = d.cycleAt()
+// runCycle runs cycle c, whose edge is the current tick, and returns the
+// next cycle to tick at. ok is false once the datapath has finished, or
+// while every unfinished lane waits on an async completion (asyncComplete
+// and Wake reschedule it).
+func (d *Datapath) runCycle(c uint64) (next uint64, ok bool) {
+	d.cycle = c
 
-	// Make results visible for completions scheduled at or before now.
-	// Walking set bits low-to-high visits the same buckets in the same
-	// order as a full 0..63 scan, skipping empty ones.
+	// Make results visible for completions due at or before c: the buckets
+	// of cycles (drained, c], walked low-to-high, in the same order as a
+	// full 0..63 scan of every bucket armed for a cycle at or before c.
 	if d.pendingSync > 0 {
-		for m := d.occupied; m != 0; m &= m - 1 {
+		due := ^uint64(0)
+		if n := c - d.drained; n < completionWindow {
+			due = bits.RotateLeft64(1<<n-1, int((d.drained+1)%completionWindow))
+		}
+		for m := d.occupied & due; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			if d.completionAt[b] > d.cycle {
-				continue
-			}
-			for _, id := range d.completions[b] {
-				d.complete(id)
+			for _, e := range d.completions[b] {
+				d.complete(e.id, e.wave)
 			}
 			d.pendingSync -= len(d.completions[b])
 			d.completions[b] = d.completions[b][:0]
-			d.occupied &^= 1 << b
 		}
+		d.occupied &^= due
 	}
+	d.drained = c
 	d.advanceWaves()
 
-	// Every lane that is not ready stalls this cycle as its class says.
-	d.stats.MemStalls += uint64(d.classes[laneBlocked])
+	// Every lane that is not ready stalls this cycle as its class says; a
+	// parked lane also counts as a load refused by its full/empty bit.
+	d.stats.MemStalls += uint64(d.classes[laneBlocked] + d.classes[laneWait])
 	d.stats.BarrierStalls += uint64(d.classes[laneBarrier])
 	d.stats.DepStalls += uint64(d.classes[laneDep])
-	stalled := d.classes[laneBarrier]+d.classes[laneDep] > 0
+	if n := d.classes[laneWait]; n > 0 {
+		d.mem.Parked(n)
+	}
+	stalled := d.classes[laneBarrier]+d.classes[laneDep]+d.classes[laneWait] > 0
 	anyIssued := false
 	// An issue changes only its own lane's class, so each word's snapshot
 	// stays valid while its lanes issue.
@@ -544,6 +581,12 @@ func (d *Datapath) runCycle() (next uint64, ok bool) {
 					d.stats.MemStalls++
 					stalled = true
 					continue
+				case IssueWait:
+					// The lane parks until the next Wake.
+					d.stats.MemStalls++
+					stalled = true
+					d.setClass(li, laneWait)
+					continue
 				case IssueAsync:
 					lat = 0
 					ln.blocked = true
@@ -558,7 +601,7 @@ func (d *Datapath) runCycle() (next uint64, ok bool) {
 
 	if anyIssued || d.inFlight > 0 {
 		d.stats.ActiveCycles++
-		d.recordActive()
+		d.recordActive(c)
 	}
 	if d.allDone() {
 		d.finish()
@@ -583,10 +626,8 @@ func (d *Datapath) issue(ln *laneState, lane int, id int32, kind trace.OpKind, l
 		d.sched[id].Lane = int32(lane)
 	}
 	if lat > 0 {
-		vis := d.cycle + lat
-		b := vis % completionWindow
-		d.completions[b] = append(d.completions[b], id)
-		d.completionAt[b] = vis
+		b := (d.cycle + lat) % completionWindow
+		d.completions[b] = append(d.completions[b], ringEntry{id, ln.waves[ln.cur]})
 		d.occupied |= 1 << b
 		d.pendingSync++
 	}
@@ -594,9 +635,9 @@ func (d *Datapath) issue(ln *laneState, lane int, id int32, kind trace.OpKind, l
 }
 
 // complete makes node id's result visible: successors' dependences resolve
-// — readying a lane whose head was waiting on id — and the wave accounting
-// advances.
-func (d *Datapath) complete(id int32) {
+// — readying a lane whose head was waiting on id — and the accounting of
+// its wave advances.
+func (d *Datapath) complete(id, wave int32) {
 	d.inFlight--
 	if d.sched != nil {
 		d.sched[id].Complete = d.eng.Now()
@@ -614,34 +655,38 @@ func (d *Datapath) complete(id int32) {
 		if d.indeg[s] < 0 {
 			panic(fmt.Sprintf("core: node %d dependence underflow", s))
 		}
-		if lane, _ := d.place(s); d.lanes[lane].class == laneDep && d.lanes[lane].pc == s {
+		if lane := d.laneOf(s); d.lanes[lane].class == laneDep && d.lanes[lane].pc == s {
 			d.setClass(lane, laneReady)
 		}
 	}
-	_, w := d.place(id)
-	d.waveRemaining[w]--
-	if d.waveRemaining[w] < 0 {
-		panic(fmt.Sprintf("core: wave %d completion underflow", w))
+	d.waveRemaining[wave]--
+	if d.waveRemaining[wave] < 0 {
+		panic(fmt.Sprintf("core: wave %d completion underflow", wave))
 	}
 }
 
-// place returns the lane and wave node id runs in: lane 0 and wave 0 for
-// the prelude, else iteration k's lane k%L and wave k/L+1.
-func (d *Datapath) place(id int32) (lane, wave int) {
-	if it := int(d.prog.iter[id]); it >= 0 {
-		return it % d.cfg.Lanes, it/d.cfg.Lanes + 1
+// laneOf returns the lane node id runs on: lane 0 for the prelude, else
+// iteration k's lane k mod L. It takes the remainder without a divide
+// (Lemire, Kaser and Kurz's fastmod, exact for 32-bit k and L).
+func (d *Datapath) laneOf(id int32) int {
+	it := d.prog.iter[id]
+	if it < 0 {
+		return 0
 	}
-	return 0, 0
+	lane, _ := bits.Mul64(d.laneMod*uint64(it), uint64(d.cfg.Lanes))
+	return int(lane)
 }
 
 // asyncComplete handles a variable-latency memory completion for the
-// lane's pending node.
+// lane's pending node. A blocked lane's cursor stays on the iteration it
+// issued from, so that entry's wave is the pending node's.
 func (d *Datapath) asyncComplete(lane int) {
-	d.complete(d.lanes[lane].pending)
-	d.lanes[lane].blocked = false
+	ln := &d.lanes[lane]
+	d.complete(ln.pending, ln.waves[ln.cur])
+	ln.blocked = false
 	d.advanceWaves()
 	d.classify(lane)
-	d.recordActive()
+	d.recordActive(d.cycleAt())
 	if d.allDone() {
 		d.finish()
 		return
@@ -678,7 +723,7 @@ func (d *Datapath) classify(li int) {
 		c = laneBlocked
 	case !ln.seek():
 		c = laneExhausted
-	case !d.cfg.NoBarrier && ln.waves[ln.cur] > d.completeWave+1:
+	case !d.cfg.NoBarrier && int(ln.waves[ln.cur]) > d.completeWave+1:
 		// Wave barrier: a node may issue only when every prior wave is
 		// fully complete.
 		c = laneBarrier
@@ -726,8 +771,8 @@ func (d *Datapath) allDone() bool {
 	return d.inFlight == 0 && d.classes[laneExhausted] == len(d.lanes) && d.mem.Drained()
 }
 
-func (d *Datapath) recordActive() {
-	c := d.cycleAt()
+// recordActive extends the compute intervals over cycle c.
+func (d *Datapath) recordActive(c uint64) {
 	if d.activeOpen && c == d.lastActive+1 || (d.activeOpen && c == d.lastActive) {
 		d.lastActive = c
 		d.intervals[len(d.intervals)-1].End = uint64(d.startTick + d.cfg.Clock.Cycles(c+1))

@@ -24,12 +24,17 @@ func (IdealMem) Issue(id int32, n *trace.Node, cycle uint64, complete func()) Is
 	return IssueLocal
 }
 
+// Parked implements MemModel; IdealMem never answers IssueWait.
+func (IdealMem) Parked(lanes int) {}
+
 // Drained implements MemModel.
 func (IdealMem) Drained() bool { return true }
 
 // SpadMem is the scratchpad memory model for DMA-based designs: accesses
 // contend for bank ports and, when DMA-triggered computation is enabled,
-// loads gate on full/empty bits.
+// loads gate on full/empty bits. A load whose bit is clear is answered
+// IssueWait: its owner calls Datapath.Wake whenever it sets a bit
+// (soc wires the DMA engine's arrivals and the end of its load phase).
 type SpadMem struct {
 	Spad *spad.Spad
 }
@@ -40,13 +45,17 @@ func NewSpadMem(s *spad.Spad) *SpadMem { return &SpadMem{Spad: s} }
 // Issue implements MemModel.
 func (m *SpadMem) Issue(id int32, n *trace.Node, cycle uint64, complete func()) IssueStatus {
 	if n.Kind == trace.OpLoad && !m.Spad.DataReady(n.Arr, n.Addr, n.Size) {
-		return IssueRetry
+		return IssueWait
 	}
 	if !m.Spad.TryAccess(n.Arr, n.Addr, n.Kind == trace.OpStore, cycle) {
 		return IssueRetry
 	}
 	return IssueLocal
 }
+
+// Parked implements MemModel: each parked lane counts as a load that found
+// its full/empty bit clear again.
+func (m *SpadMem) Parked(lanes int) { m.Spad.AddReadyBitStalls(uint64(lanes)) }
 
 // Drained implements MemModel.
 func (m *SpadMem) Drained() bool { return true }
@@ -104,6 +113,9 @@ func (m *CacheMem) Issue(id int32, n *trace.Node, cycle uint64, complete func())
 	})
 	return IssueAsync
 }
+
+// Parked implements MemModel; CacheMem never answers IssueWait.
+func (m *CacheMem) Parked(lanes int) {}
 
 // Drained implements MemModel.
 func (m *CacheMem) Drained() bool { return m.Cache.InFlight() == 0 }

@@ -38,7 +38,7 @@ type Program struct {
 // scheduler run at the same lane count.
 type laneAssign struct {
 	iters []ddg.Range
-	waves []int
+	waves []int32
 }
 
 // laneLayout is the full iteration-to-lane assignment for one lane count:
@@ -95,7 +95,7 @@ func (p *Program) layout(lanes int) *laneLayout {
 	}
 	for k, r := range g.IterRange {
 		lane := k % lanes
-		wave := k/lanes + 1
+		wave := int32(k/lanes + 1)
 		lay.lanes[lane].iters = append(lay.lanes[lane].iters, r)
 		lay.lanes[lane].waves = append(lay.lanes[lane].waves, wave)
 		lay.waveRemaining[wave] += r.Len()
