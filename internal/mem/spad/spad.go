@@ -11,6 +11,7 @@ package spad
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gem5aladdin/internal/fault"
 	"gem5aladdin/internal/obs"
@@ -39,8 +40,11 @@ type Stats struct {
 type Spad struct {
 	cfg    Config
 	arrays []arrayState
-	stats  Stats
-	inj    *fault.Injector
+	// bankMod is ceil(2^64 / Partitions), so that bankOf takes an element
+	// index mod Partitions without a divide.
+	bankMod uint64
+	stats   Stats
+	inj     *fault.Injector
 
 	// ready-bit tracking (nil when DMA-triggered compute is off):
 	// per array, one bit per granularity-sized chunk.
@@ -49,8 +53,8 @@ type Spad struct {
 }
 
 type arrayState struct {
-	elemSize uint32
-	length   uint32 // elements
+	elemShift uint8  // log2 of the element size
+	length    uint32 // elements
 	// port bookkeeping: accesses issued per bank in the current cycle
 	cycle     uint64
 	usedPorts []int
@@ -61,10 +65,10 @@ func New(cfg Config, arrays []*trace.Array) *Spad {
 	if cfg.Partitions <= 0 || cfg.Ports <= 0 {
 		panic("spad: invalid config")
 	}
-	s := &Spad{cfg: cfg}
+	s := &Spad{cfg: cfg, bankMod: ^uint64(0)/uint64(cfg.Partitions) + 1}
 	for _, a := range arrays {
 		s.arrays = append(s.arrays, arrayState{
-			elemSize:  a.Elem.Size(),
+			elemShift: uint8(bits.TrailingZeros32(a.Elem.Size())),
 			length:    uint32(a.Len),
 			usedPorts: make([]int, cfg.Partitions),
 		})
@@ -169,8 +173,7 @@ func (s *Spad) TryAccess(arr int16, off uint32, write bool, cycle uint64) bool {
 			st.usedPorts[i] = 0
 		}
 	}
-	// Cyclic partitioning: element e lives in bank e mod P.
-	bank := (off / st.elemSize) % uint32(s.cfg.Partitions)
+	bank := s.bankOf(st, off)
 	if st.usedPorts[bank] >= s.cfg.Ports {
 		s.stats.BankConflicts++
 		return false
@@ -185,6 +188,15 @@ func (s *Spad) TryAccess(arr int16, off uint32, write bool, cycle uint64) bool {
 	// the tick in fault records (still strictly deterministic).
 	s.inj.ECC(fault.SiteSpad, sim.Tick(cycle), uint64(arr)<<32|uint64(off))
 	return true
+}
+
+// bankOf returns the bank holding byte offset off of an array: under
+// cyclic partitioning, element e lives in bank e mod P. Element sizes are
+// powers of two, so e is a shift of off, and the remainder is Lemire, Kaser
+// and Kurz's fastmod, exact for 32-bit e and P.
+func (s *Spad) bankOf(st *arrayState, off uint32) uint32 {
+	bank, _ := bits.Mul64(s.bankMod*uint64(off>>st.elemShift), uint64(s.cfg.Partitions))
+	return uint32(bank)
 }
 
 // BankBytes returns the capacity of one bank of array a, which sizes the

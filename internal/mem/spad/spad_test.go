@@ -37,6 +37,35 @@ func TestPortLimitPerBank(t *testing.T) {
 	}
 }
 
+// TestBankIndexMatchesDivision checks the shift-and-fastmod bank index
+// against (off / elemSize) % P for 1-, 4- and 8-byte elements over 1-33
+// partitions, at every offset of the first 16 KB, the top 16 KB of the
+// 32-bit range and a spread between.
+func TestBankIndexMatchesDivision(t *testing.T) {
+	var offs []uint32
+	for off := uint32(0); off < 1<<14; off++ {
+		offs = append(offs, off, ^uint32(0)-off)
+	}
+	for off := uint64(1 << 14); off < 1<<32; off = off*5/4 + 7 {
+		offs = append(offs, uint32(off))
+	}
+	for _, elem := range []trace.ElemKind{trace.U8, trace.I32, trace.F64} {
+		b := trace.NewBuilder("banks")
+		b.Alloc("a", elem, 1, trace.In)
+		arrs := b.Finish().Arrays
+		size := elem.Size()
+		for p := 1; p <= 33; p++ {
+			s := New(Config{Partitions: p, Ports: 1}, arrs)
+			for _, off := range offs {
+				if got, want := s.bankOf(&s.arrays[0], off), (off/size)%uint32(p); got != want {
+					t.Fatalf("%d-byte elements, %d banks: offset %d in bank %d, want %d",
+						size, p, off, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMorePartitionsMoreBandwidth(t *testing.T) {
 	arrs := testArrays()
 	s := New(Config{Partitions: 4, Ports: 1}, arrs)
