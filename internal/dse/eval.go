@@ -220,7 +220,7 @@ type Claim struct {
 // track (i+1), with a `queue-wait` child until a worker claims it and a
 // `simulate` child for the run: a traced request renders one row per point.
 func (ev *Evaluator) Submit(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config) *Claim {
-	return ev.submit(ctx, kernel, k, cfgs, true)
+	return ev.submit(ctx, k, cfgs, pointKeys(kernel, cfgs), true)
 }
 
 // Evaluate evaluates every config and returns one outcome per config, in
@@ -235,10 +235,16 @@ func (ev *Evaluator) Submit(ctx context.Context, kernel string, k *soc.Compiled,
 // wants are skipped — and returns ctx.Err() with no outcomes. A point
 // already simulating finishes: a run is never interrupted mid-simulation.
 func (ev *Evaluator) Evaluate(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, progress func(done, total int)) ([]Outcome, error) {
+	return ev.evaluateKeyed(ctx, k, cfgs, pointKeys(kernel, cfgs), progress)
+}
+
+// evaluateKeyed is Evaluate over cfgs whose point keys the caller holds:
+// keys[i] is PointKey(kernel, cfgs[i]).
+func (ev *Evaluator) evaluateKeyed(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, keys []string, progress func(done, total int)) ([]Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c := ev.submit(ctx, kernel, k, cfgs, false)
+	c := ev.submit(ctx, k, cfgs, keys, false)
 	defer c.Release()
 	outs := make([]Outcome, len(cfgs))
 	for i := range cfgs {
@@ -258,12 +264,18 @@ func (ev *Evaluator) Evaluate(ctx context.Context, kernel string, k *soc.Compile
 	return outs, nil
 }
 
-func (ev *Evaluator) submit(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, perPointSpans bool) *Claim {
-	parent := obs.SpanFromContext(ctx)
+// pointKeys returns PointKey(kernel, cfg) for each of cfgs.
+func pointKeys(kernel string, cfgs []soc.Config) []string {
 	keys := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = PointKey(kernel, cfg)
 	}
+	return keys
+}
+
+// submit queues cfgs under their point keys, keys[i] for cfgs[i].
+func (ev *Evaluator) submit(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, keys []string, perPointSpans bool) *Claim {
+	parent := obs.SpanFromContext(ctx)
 	c := &Claim{ev: ev, entries: make([]*entry, len(cfgs))}
 	mine := make(map[string]*entry, len(cfgs))
 	ev.mu.Lock()

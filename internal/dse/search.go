@@ -526,10 +526,11 @@ func (ev *Evaluator) Search(ctx context.Context, kernel string, k *soc.Compiled,
 		rs.SetAttr("round", round)
 		rs.SetAttr("candidates", len(fresh))
 		cfgs := make([]soc.Config, len(fresh))
+		keys := make([]string, len(fresh))
 		for i, c := range fresh {
-			cfgs[i] = c.cfg
+			cfgs[i], keys[i] = c.cfg, c.key
 		}
-		outs, err := ev.Evaluate(obs.WithSpan(ctx, rs), kernel, k, cfgs, nil)
+		outs, err := ev.evaluateKeyed(obs.WithSpan(ctx, rs), k, cfgs, keys, nil)
 		if err != nil {
 			rs.EndSpan()
 			return nil, err
@@ -588,7 +589,7 @@ func (ev *Evaluator) Search(ctx context.Context, kernel string, k *soc.Compiled,
 		return nil, fmt.Errorf("dse: search evaluated %d points, none survived: %w",
 			len(archive), ErrEmptySpace)
 	}
-	frontSpace, err := ev.materialize(ctx, kernel, k, archive, frontIdx)
+	frontSpace, err := ev.materialize(ctx, k, archive, frontIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -710,22 +711,24 @@ func archivePoints(archive []candidate) []SearchPoint {
 // from a checkpoint) come back from the evaluator — its cache or store, or
 // a re-simulation when the checkpoint is ahead of a torn store, which
 // yields the same result deterministically.
-func (ev *Evaluator) materialize(ctx context.Context, kernel string, k *soc.Compiled, archive []candidate, front []int) (Space, error) {
+func (ev *Evaluator) materialize(ctx context.Context, k *soc.Compiled, archive []candidate, front []int) (Space, error) {
 	out := make(Space, len(front))
 	var missing []soc.Config
+	var keys []string
 	var at []int
 	for j, i := range front {
 		c := &archive[i]
 		out[j] = Point{Cfg: c.cfg, Res: c.res}
 		if c.res == nil {
 			missing = append(missing, c.cfg)
+			keys = append(keys, c.key)
 			at = append(at, j)
 		}
 	}
 	if len(missing) == 0 {
 		return out, nil
 	}
-	outs, err := ev.Evaluate(ctx, kernel, k, missing, nil)
+	outs, err := ev.evaluateKeyed(ctx, k, missing, keys, nil)
 	if err != nil {
 		return nil, err
 	}
