@@ -113,6 +113,27 @@ func TestWAWAndWARDependences(t *testing.T) {
 	}
 }
 
+// TestBuildPanicsOnPartialElement pins Build's element rule: a memory
+// node must name a whole element inside its array, or its deps would be
+// recovered from the wrong element.
+func TestBuildPanicsOnPartialElement(t *testing.T) {
+	for _, addr := range []uint32{12, 32} {
+		b := trace.NewBuilder("partial")
+		a := b.Alloc("a", trace.F64, 4, trace.Local)
+		b.Store(a, 1, b.ConstF(1))
+		tr := b.Finish()
+		tr.Nodes[len(tr.Nodes)-1].Addr = addr
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Build accepted a store to byte %d of a 32-byte F64 array", addr)
+				}
+			}()
+			Build(tr)
+		}()
+	}
+}
+
 func TestDistinctAddressesIndependent(t *testing.T) {
 	b := trace.NewBuilder("indep")
 	a := b.Alloc("a", trace.F64, 4, trace.Local)

@@ -54,7 +54,8 @@ func (t *Trace) Encode(w io.Writer) error {
 
 // ReadTrace deserializes a trace written by Encode and revalidates its
 // structural invariants (dependences strictly backwards, addresses in
-// range) so a corrupted or hand-edited file cannot crash the scheduler.
+// range and element-aligned) so a corrupted or hand-edited file cannot
+// crash the scheduler.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var wt wireTrace
 	if err := gob.NewDecoder(r).Decode(&wt); err != nil {
@@ -107,6 +108,10 @@ func (t *Trace) validate() error {
 			if uint64(n.Addr)+uint64(n.Size) > uint64(a.Bytes()) {
 				return fmt.Errorf("trace: node %d accesses [%d,%d) beyond array %q (%d bytes)",
 					i, n.Addr, n.Addr+uint32(n.Size), a.Name, a.Bytes())
+			}
+			if n.Addr%a.Elem.Size() != 0 {
+				return fmt.Errorf("trace: node %d accesses byte %d of array %q, not a multiple of its %d-byte elements",
+					i, n.Addr, a.Name, a.Elem.Size())
 			}
 		}
 	}

@@ -94,6 +94,23 @@ func TestReadTraceRejectsOutOfRangeAccess(t *testing.T) {
 	}
 }
 
+func TestReadTraceRejectsUnalignedAccess(t *testing.T) {
+	orig := roundTripTrace(t)
+	for i := range orig.Nodes {
+		if orig.Nodes[i].Kind == OpLoad {
+			orig.Nodes[i].Addr = 12 // inside a's second 8-byte element
+			break
+		}
+	}
+	var buf bytes.Buffer
+	if err := orig.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTrace(&buf); err == nil {
+		t.Fatal("unaligned access accepted")
+	}
+}
+
 func TestReadTraceRejectsBadIterLabels(t *testing.T) {
 	orig := roundTripTrace(t)
 	last := len(orig.Nodes) - 1
