@@ -171,29 +171,25 @@ func Run(k *Kernel, cfg Config) (*RunResult, error) { return soc.Run(k, cfg) }
 // RunTrace simulates one invocation straight from a recorded trace,
 // building and compiling internally — convenient for one-shot runs; sweeps
 // should Compile once instead.
-func RunTrace(tr *Trace, cfg Config) (*RunResult, error) { return soc.RunTrace(tr, cfg) }
+func RunTrace(tr *Trace, cfg Config) (*RunResult, error) { return Run(Compile(BuildGraph(tr)), cfg) }
 
-// MultiResult is the outcome of a multi-accelerator run.
-type MultiResult = soc.MultiResult
+// Invocation launches several accelerators at once on one shared bus,
+// DRAM, and coherence fabric (the multi-accelerator SoC of the paper's Fig
+// 3 diagram), Rounds times back to back; cache and TLB contents persist
+// across rounds. System-level parameters come from the first config, and
+// the same Kernel may appear more than once. With ReuseInputs
+// (resident weights/coefficients) a cache interface amortizes its cold
+// misses, while DMA pays the full transfer each round.
+type Invocation = soc.Invocation
 
-// RunMulti launches several accelerators simultaneously on one shared
-// bus, DRAM, and coherence fabric (the multi-accelerator SoC of the
-// paper's Fig 3 diagram). System-level parameters come from the first
-// config. The same Kernel may appear more than once.
-func RunMulti(ks []*Kernel, cfgs []Config) (*MultiResult, error) {
-	return soc.RunMulti(ks, cfgs)
-}
+// InvocationResult is the outcome of an Invocation: each accelerator's
+// result, each round's latency (the last is the warmed-up cost), and the
+// makespan.
+type InvocationResult = soc.InvocationResult
 
-// RepeatResult is the outcome of a repeated-invocation run.
-type RepeatResult = soc.RepeatResult
-
-// RunRepeated invokes the accelerator several times back to back; cache
-// and TLB contents persist across rounds. With reuseInputs=true (resident
-// weights/coefficients) a cache interface amortizes its cold misses,
-// while DMA pays the full transfer each call.
-func RunRepeated(k *Kernel, cfg Config, invocations int, reuseInputs bool) (*RepeatResult, error) {
-	return soc.RunRepeated(k, cfg, invocations, reuseInputs)
-}
+// Invoke simulates one Invocation; Run is its one-accelerator, one-round
+// case.
+func Invoke(inv Invocation) (*InvocationResult, error) { return new(soc.Runner).Invoke(inv) }
 
 // ReassociateReductions rewrites serial reduction chains (acc = acc op x)
 // of length >= 3 into balanced trees, one of Aladdin's DDDG optimizations.

@@ -110,14 +110,15 @@ func TestPublicAPIRunRepeated(t *testing.T) {
 	k := gem5aladdin.Compile(gem5aladdin.BuildGraph(tr))
 	cfg := gem5aladdin.DefaultConfig()
 	cfg.Mem = gem5aladdin.Cache
-	rr, err := gem5aladdin.RunRepeated(k, cfg, 3, true)
+	rr, err := gem5aladdin.Invoke(gem5aladdin.Invocation{Kernels: []*gem5aladdin.Kernel{k},
+		Configs: []gem5aladdin.Config{cfg}, Rounds: 3, ReuseInputs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rr.Rounds) != 3 || rr.Total == 0 {
+	if len(rr.Rounds) != 3 || rr.Makespan == 0 {
 		t.Fatalf("repeat result: %+v", rr.Rounds)
 	}
-	if rr.SteadyState() > rr.Rounds[0] {
+	if rr.Rounds[2] > rr.Rounds[0] {
 		t.Fatal("steady state slower than cold round with reused inputs")
 	}
 }
@@ -126,13 +127,29 @@ func TestPublicAPIRunMulti(t *testing.T) {
 	tr, _ := buildSaxpy(128)
 	k := gem5aladdin.Compile(gem5aladdin.BuildGraph(tr))
 	cfg := gem5aladdin.DefaultConfig()
-	multi, err := gem5aladdin.RunMulti([]*gem5aladdin.Kernel{k, k},
-		[]gem5aladdin.Config{cfg, cfg})
+	multi, err := gem5aladdin.Invoke(gem5aladdin.Invocation{Kernels: []*gem5aladdin.Kernel{k, k},
+		Configs: []gem5aladdin.Config{cfg, cfg}, Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(multi.Results) != 2 || multi.Makespan == 0 {
 		t.Fatal("multi result incomplete")
+	}
+}
+
+// TestRunTraceConvenience runs a one-iteration trace straight through
+// RunTrace.
+func TestRunTraceConvenience(t *testing.T) {
+	b := gem5aladdin.NewKernel("tiny")
+	a := b.Alloc("a", gem5aladdin.F64, 8, gem5aladdin.InOut)
+	b.BeginIter()
+	b.Store(a, 0, b.FAdd(b.Load(a, 0), b.ConstF(1)))
+	r, err := gem5aladdin.RunTrace(b.Finish(), gem5aladdin.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Runtime == 0 {
+		t.Fatal("no runtime")
 	}
 }
 

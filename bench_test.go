@@ -91,7 +91,7 @@ func graphFor(b *testing.B, name string) *ddg.Graph {
 
 func runOnce(b *testing.B, g *ddg.Graph, cfg soc.Config) *soc.RunResult {
 	b.Helper()
-	r, err := soc.RunGraph(g, cfg)
+	r, err := soc.Run(soc.Compile(g), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -321,9 +321,10 @@ func BenchmarkExtensionMultiAccel(b *testing.B) {
 	b.Run("shared-bus", func(b *testing.B) {
 		var us float64
 		for i := 0; i < b.N; i++ {
-			multi, err := soc.RunMulti(
-				[]*soc.Compiled{soc.Compile(g1), soc.Compile(g2)},
-				[]soc.Config{cfg, cfg})
+			var r soc.Runner
+			multi, err := r.Invoke(soc.Invocation{
+				Kernels: []*soc.Compiled{soc.Compile(g1), soc.Compile(g2)},
+				Configs: []soc.Config{cfg, cfg}, Rounds: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -345,12 +346,14 @@ func BenchmarkExtensionRepeatedInvocation(b *testing.B) {
 			cfg.Mem = mem
 			var cold, steady float64
 			for i := 0; i < b.N; i++ {
-				rr, err := soc.RunRepeated(soc.Compile(g), cfg, 4, true)
+				var r soc.Runner
+				rr, err := r.Invoke(soc.Invocation{Kernels: []*soc.Compiled{soc.Compile(g)},
+					Configs: []soc.Config{cfg}, Rounds: 4, ReuseInputs: true})
 				if err != nil {
 					b.Fatal(err)
 				}
 				cold = rr.Rounds[0].Nanos() / 1e3
-				steady = rr.SteadyState().Nanos() / 1e3
+				steady = rr.Rounds[3].Nanos() / 1e3
 			}
 			b.ReportMetric(cold, "cold_us")
 			b.ReportMetric(steady, "steady_us")

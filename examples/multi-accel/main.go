@@ -84,7 +84,7 @@ func main() {
 		for i := range cfgs {
 			cfgs[i] = cfg
 		}
-		multi, err := gem5aladdin.RunMulti(kernels, cfgs)
+		multi, err := gem5aladdin.Invoke(gem5aladdin.Invocation{Kernels: kernels, Configs: cfgs, Rounds: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func main() {
 				cfgs[i].Lanes = base.Lanes
 			}
 			cfgs[0].Lanes = l
-			multi, err := gem5aladdin.RunMulti(kernels, cfgs)
+			multi, err := gem5aladdin.Invoke(gem5aladdin.Invocation{Kernels: kernels, Configs: cfgs, Rounds: 1})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -280,25 +280,18 @@ func (sc *Scratch) Build(eng *sim.Engine, p *Program, cfg Config, mem MemModel) 
 
 // NewDatapath builds a scheduler over graph g with the given memory model,
 // compiling a private Program first. Callers evaluating many design points
-// over one kernel should CompileProgram once and use NewDatapathOver or
-// Scratch.Build.
+// over one kernel should CompileProgram once and use Scratch.Build.
 func NewDatapath(eng *sim.Engine, g *ddg.Graph, cfg Config, mem MemModel) *Datapath {
-	return NewDatapathOver(eng, CompileProgram(g), cfg, mem)
-}
-
-// NewDatapathOver builds a scheduler over a compiled program, sharing its
-// flat node arrays and lane layouts instead of re-deriving them.
-func NewDatapathOver(eng *sim.Engine, p *Program, cfg Config, mem MemModel) *Datapath {
 	d := &Datapath{}
-	d.reinit(eng, p, cfg, mem)
+	d.reinit(eng, CompileProgram(g), cfg, mem)
 	return d
 }
 
 // Reset rewinds the datapath to its pre-Start state over the same engine,
 // graph, config, and memory model, reusing every buffer. The SoC layer uses
-// it between invocations of one accelerator (RunRepeated rounds) in place of
-// building a fresh scheduler. The caller must ensure the previous run has
-// drained (no datapath event still queued on the engine).
+// it between the rounds of an invocation in place of building a fresh
+// scheduler. The caller must ensure the previous run has drained (no
+// datapath event still queued on the engine).
 func (d *Datapath) Reset() { d.reinit(d.eng, d.prog, d.cfg, d.mem) }
 
 // grow returns s resliced to n elements, reallocating only when capacity is

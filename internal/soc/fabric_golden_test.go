@@ -73,8 +73,8 @@ func (g goldenHash) result(label string, r *RunResult, err error) {
 // faults off and seeded on, three accelerators sharing the fabric, a
 // background traffic agent, and a fault rate heavy enough to drop a
 // transaction, which the host's completion polling turns into a tick-budget
-// stall. Only RunMulti and the traffic point register more than one fabric
-// master.
+// stall. Only the three-accelerator invocation and the traffic point
+// register more than one fabric master.
 func TestFabricSoCGolden(t *testing.T) {
 	kernels := []string{"spmv-crs", "stencil-stencil2d", "fft-transpose", "md-knn"}
 	seeded := runnerConfigs()
@@ -99,7 +99,7 @@ func TestFabricSoCGolden(t *testing.T) {
 		for i := range multiCfgs {
 			multiCfgs[i].Fabric.Kind = kind
 		}
-		multi, err := RunMulti(multiKs, multiCfgs)
+		multi, err := together(multiKs, multiCfgs)
 		if err != nil {
 			g.result("multi", nil, err)
 		} else {

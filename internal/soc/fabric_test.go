@@ -103,7 +103,7 @@ func TestRunMultiPerFabric(t *testing.T) {
 		for i := range ks {
 			ks[i], cfgs[i] = k, cfg
 		}
-		multi, err := RunMulti(ks, cfgs)
+		multi, err := together(ks, cfgs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -116,12 +116,12 @@ func TestRunMultiPerFabric(t *testing.T) {
 					name, i, r.Runtime, solo.Runtime)
 			}
 		}
-		again, err := RunMulti(ks, cfgs)
+		again, err := together(ks, cfgs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(multi, again) {
-			t.Errorf("%s: RunMulti rerun is not bit-identical", name)
+			t.Errorf("%s: rerun is not bit-identical", name)
 		}
 	}
 }
@@ -136,7 +136,7 @@ func TestFabricContentionDiffers(t *testing.T) {
 	for _, cfg := range fabricConfigs(DMA) {
 		ks := []*Compiled{k, k, k}
 		cfgs := []Config{cfg, cfg, cfg}
-		multi, err := RunMulti(ks, cfgs)
+		multi, err := together(ks, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestFabricSanitizeSoak(t *testing.T) {
 		for _, mem := range []MemKind{DMA, Cache} {
 			for name, cfg := range fabricConfigs(mem) {
 				cfg.Sanitize = true
-				if _, err := RunGraph(g, cfg); err != nil {
+				if _, err := Run(Compile(g), cfg); err != nil {
 					t.Errorf("%s/%s/%s: sanitizer violation: %v", kname, mem, name, err)
 				}
 			}
@@ -182,7 +182,7 @@ func TestFabricFaultSoak(t *testing.T) {
 	for name, cfg := range fabricConfigs(DMA) {
 		cfg.Faults = fault.Config{Seed: 11, BusNackProb: 0.05, BusRetryLimit: 16,
 			BusBackoff: 10 * sim.Nanosecond, DRAMBitProb: 0.001, DoubleBitFrac: 0.1}
-		run := func() (*RunResult, error) { return RunGraph(g, cfg) }
+		run := func() (*RunResult, error) { return Run(Compile(g), cfg) }
 		a, errA := run()
 		b, errB := run()
 		if (errA == nil) != (errB == nil) {

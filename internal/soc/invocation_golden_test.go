@@ -19,37 +19,18 @@ const invocationGolden = "577dd477ce143fc7b8e65d36f74bce6acbd2e889902322f546aaa1
 // invocation folds one invocation in: each accelerator's whole RunResult,
 // then the round latencies, then the makespan. An aborted invocation folds
 // in what outcome folds for an abort.
-func (g goldenHash) invocation(label string, results []*RunResult, rounds []sim.Tick,
-	makespan sim.Tick, err error) (aborted bool) {
+func (g goldenHash) invocation(label string, out *InvocationResult, err error) (aborted bool) {
 	if err != nil {
 		g.outcome(label, nil, err)
 		return true
 	}
 	g.h.Write([]byte(label))
-	for _, r := range results {
+	for _, r := range out.Results {
 		g.value(reflect.ValueOf(*r))
 	}
-	g.value(reflect.ValueOf(rounds))
-	g.word(uint64(makespan))
+	g.value(reflect.ValueOf(out.Rounds))
+	g.word(uint64(out.Makespan))
 	return false
-}
-
-// invokeCase runs len(ks) accelerators for the given number of rounds and
-// returns what an invocation reports: each accelerator's result, each
-// round's latency and the makespan.
-func invokeCase(ks []*Compiled, cfgs []Config, rounds int, reuse bool) ([]*RunResult, []sim.Tick, sim.Tick, error) {
-	if rounds == 1 {
-		multi, err := RunMulti(ks, cfgs)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return multi.Results, []sim.Tick{multi.Makespan}, multi.Makespan, nil
-	}
-	rep, err := RunRepeated(ks[0], cfgs[0], rounds, reuse)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return []*RunResult{rep.Final}, rep.Rounds, rep.Total, nil
 }
 
 // TestInvocationGolden pins every multi-accelerator and repeated result bit
@@ -59,10 +40,12 @@ func invokeCase(ks []*Compiled, cfgs []Config, rounds int, reuse bool) ([]*RunRe
 // at once (its kernel on its memory system, then the next kernel on the
 // other memory system, then the one after on its own), and three rounds of
 // its kernel alone, with the inputs reused and with them rewritten. Every
-// accelerator carries a 10 ms tick budget, so a hang aborts instead.
+// accelerator carries a 10 ms tick budget, so a hang aborts instead. Every
+// case runs twice: on a fresh Runner, and on one shared Runner that also
+// runs a single point before each invocation; both passes must match.
 func TestInvocationGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("288 invocations; run without -short")
+		t.Skip("2 x 288 invocations; run without -short")
 	}
 	names := []string{"spmv-crs", "stencil-stencil2d", "fft-transpose", "md-knn"}
 	ks := make([]*Compiled, len(names))
@@ -70,47 +53,55 @@ func TestInvocationGolden(t *testing.T) {
 		ks[i] = Compile(kernelGraph(t, name))
 	}
 	seeded := runnerConfigs()
-	g := goldenHash{sha256.New()}
-	cases, aborts := 0, 0
-	fold := func(label string, results []*RunResult, rounds []sim.Tick, makespan sim.Tick, err error) {
-		if g.invocation(label, results, rounds, makespan, err) {
-			aborts++
-		}
-		cases++
-	}
-	for i, name := range names {
-		for _, mem := range []string{"dma", "cache"} {
-			other := map[string]string{"dma": "cache", "cache": "dma"}[mem]
-			for _, kind := range FabricKinds() {
-				for _, traffic := range []bool{false, true} {
-					for _, faults := range []string{"", "-faults"} {
-						cell := func(label string) Config {
-							cfg := seeded[label+faults]
-							cfg.Fabric.Kind = kind
-							cfg.WatchdogTicks = 10 * sim.Millisecond
-							if traffic {
-								cfg.Traffic = &TrafficConfig{Period: 200 * sim.Nanosecond, Bytes: 32}
+	for pass, shared := range []*Runner{nil, new(Runner)} {
+		g := goldenHash{sha256.New()}
+		cases, aborts := 0, 0
+		for i, name := range names {
+			for _, mem := range []string{"dma", "cache"} {
+				other := map[string]string{"dma": "cache", "cache": "dma"}[mem]
+				for _, kind := range FabricKinds() {
+					for _, traffic := range []bool{false, true} {
+						for _, faults := range []string{"", "-faults"} {
+							cell := func(label string) Config {
+								cfg := seeded[label+faults]
+								cfg.Fabric.Kind = kind
+								cfg.WatchdogTicks = 10 * sim.Millisecond
+								if traffic {
+									cfg.Traffic = &TrafficConfig{Period: 200 * sim.Nanosecond, Bytes: 32}
+								}
+								return cfg
 							}
-							return cfg
-						}
-						label := fmt.Sprintf("%s/%s/%v/traffic=%v%s", name, mem, kind, traffic, faults)
-						three := []*Compiled{ks[i], ks[(i+1)%len(ks)], ks[(i+2)%len(ks)]}
-						res, rounds, makespan, err := invokeCase(three,
-							[]Config{cell(mem), cell(other), cell(mem)}, 1, false)
-						fold(label+"/three", res, rounds, makespan, err)
-						for _, reuse := range []bool{true, false} {
-							res, rounds, makespan, err := invokeCase(three[:1], []Config{cell(mem)}, 3, reuse)
-							fold(fmt.Sprintf("%s/rounds/reuse=%v", label, reuse), res, rounds, makespan, err)
+							invoke := func(label string, inv Invocation) {
+								r := shared
+								if r == nil {
+									r = new(Runner)
+								} else if _, err := r.Run(ks[(i+3)%len(ks)], cell(other)); err != nil {
+									t.Fatalf("%s: interleaved run: %v", label, err)
+								}
+								out, err := r.Invoke(inv)
+								if g.invocation(label, out, err) {
+									aborts++
+								}
+								cases++
+							}
+							label := fmt.Sprintf("%s/%s/%v/traffic=%v%s", name, mem, kind, traffic, faults)
+							three := []*Compiled{ks[i], ks[(i+1)%len(ks)], ks[(i+2)%len(ks)]}
+							invoke(label+"/three", Invocation{Kernels: three,
+								Configs: []Config{cell(mem), cell(other), cell(mem)}, Rounds: 1})
+							for _, reuse := range []bool{true, false} {
+								invoke(fmt.Sprintf("%s/rounds/reuse=%v", label, reuse), Invocation{
+									Kernels: three[:1], Configs: []Config{cell(mem)}, Rounds: 3, ReuseInputs: reuse})
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-	if cases != 288 || aborts != 0 {
-		t.Fatalf("%d invocations with %d aborts, want 288 with 0", cases, aborts)
-	}
-	if got := hex.EncodeToString(g.h.Sum(nil)); got != invocationGolden {
-		t.Fatalf("invocation digest %s, want %s", got, invocationGolden)
+		if cases != 288 || aborts != 0 {
+			t.Fatalf("pass %d: %d invocations with %d aborts, want 288 with 0", pass, cases, aborts)
+		}
+		if got := hex.EncodeToString(g.h.Sum(nil)); got != invocationGolden {
+			t.Errorf("pass %d: invocation digest %s, want %s", pass, got, invocationGolden)
+		}
 	}
 }

@@ -6,14 +6,30 @@ import (
 	"gem5aladdin/internal/sim"
 )
 
+// together launches ks at once, for one round, on a fresh Runner.
+func together(ks []*Compiled, cfgs []Config) (*InvocationResult, error) {
+	var r Runner
+	return r.Invoke(Invocation{Kernels: ks, Configs: cfgs, Rounds: 1})
+}
+
+// repeated invokes k alone rounds times back to back on a fresh Runner.
+func repeated(k *Compiled, cfg Config, rounds int, reuse bool) (*InvocationResult, error) {
+	var r Runner
+	return r.Invoke(Invocation{Kernels: []*Compiled{k}, Configs: []Config{cfg}, Rounds: rounds, ReuseInputs: reuse})
+}
+
+// steady is the last round's latency: the warmed-up cost of an invocation
+// once caches and TLBs hold whatever survives between calls.
+func steady(out *InvocationResult) sim.Tick { return out.Rounds[len(out.Rounds)-1] }
+
 func TestRunMultiSingleMatchesRun(t *testing.T) {
 	g := streamKernel(256)
 	cfg := DefaultConfig()
-	solo, err := RunGraph(g, cfg)
+	solo, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti([]*Compiled{Compile(g)}, []Config{cfg})
+	multi, err := together([]*Compiled{Compile(g)}, []Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +37,7 @@ func TestRunMultiSingleMatchesRun(t *testing.T) {
 		t.Fatalf("results = %d", len(multi.Results))
 	}
 	if multi.Results[0].Runtime != solo.Runtime {
-		t.Fatalf("single-accelerator RunMulti %v != Run %v",
+		t.Fatalf("single-accelerator invocation %v != Run %v",
 			multi.Results[0].Runtime, solo.Runtime)
 	}
 	if multi.Makespan != solo.Runtime {
@@ -32,13 +48,13 @@ func TestRunMultiSingleMatchesRun(t *testing.T) {
 func TestRunMultiContention(t *testing.T) {
 	g := streamKernel(2048)
 	cfg := DefaultConfig()
-	solo, err := RunGraph(g, cfg)
+	solo, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two identical DMA accelerators sharing the bus must each run
 	// slower than alone, and combined DMA bytes must double.
-	multi, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
+	multi, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +81,7 @@ func TestRunMultiMixedMemorySystems(t *testing.T) {
 	dmaCfg := DefaultConfig()
 	cacheCfg := DefaultConfig()
 	cacheCfg.Mem = Cache
-	multi, err := RunMulti([]*Compiled{Compile(g1), Compile(g2)}, []Config{dmaCfg, cacheCfg})
+	multi, err := together([]*Compiled{Compile(g1), Compile(g2)}, []Config{dmaCfg, cacheCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +101,7 @@ func TestRunMultiTwoCaches(t *testing.T) {
 	g := streamKernel(512)
 	cfg := DefaultConfig()
 	cfg.Mem = Cache
-	multi, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
+	multi, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +120,11 @@ func TestRunMultiTwoCaches(t *testing.T) {
 func TestRunMultiDeterministic(t *testing.T) {
 	g := streamKernel(512)
 	cfg := DefaultConfig()
-	a, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
+	a, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
+	b, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +137,15 @@ func TestRunMultiDeterministic(t *testing.T) {
 
 func TestRunMultiValidation(t *testing.T) {
 	g := streamKernel(64)
-	if _, err := RunMulti(nil, nil); err == nil {
-		t.Fatal("empty RunMulti accepted")
+	if _, err := together(nil, nil); err == nil {
+		t.Fatal("empty invocation accepted")
 	}
-	if _, err := RunMulti([]*Compiled{Compile(g)}, []Config{DefaultConfig(), DefaultConfig()}); err == nil {
+	if _, err := together([]*Compiled{Compile(g)}, []Config{DefaultConfig(), DefaultConfig()}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
 	bad := DefaultConfig()
 	bad.Lanes = 0
-	if _, err := RunMulti([]*Compiled{Compile(g)}, []Config{bad}); err == nil {
+	if _, err := together([]*Compiled{Compile(g)}, []Config{bad}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -138,12 +154,12 @@ func TestRunMultiWithBackgroundTraffic(t *testing.T) {
 	g := streamKernel(512)
 	cfg := DefaultConfig()
 	cfg.Traffic = &TrafficConfig{Period: 500 * sim.Nanosecond, Bytes: 128}
-	multi, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
+	multi, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	quietCfg := DefaultConfig()
-	quiet, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{quietCfg, quietCfg})
+	quiet, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{quietCfg, quietCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +171,13 @@ func TestRunMultiWithBackgroundTraffic(t *testing.T) {
 func TestCoherentDMAEndToEnd(t *testing.T) {
 	g := streamKernel(2048)
 	sw := DefaultConfig()
-	swRes, err := RunGraph(g, sw)
+	swRes, err := Run(Compile(g), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hw := DefaultConfig()
 	hw.CoherentDMA = true
-	hwRes, err := RunGraph(g, hw)
+	hwRes, err := Run(Compile(g), hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,43 +199,43 @@ func TestRunRepeatedCacheAmortizes(t *testing.T) {
 	cfg.Mem = Cache
 	// Inputs reused (resident coefficient table scenario): later rounds
 	// must be much faster than the cold first round.
-	reuse, err := RunRepeated(Compile(g), cfg, 4, true)
+	reuse, err := repeated(Compile(g), cfg, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reuse.Rounds) != 4 {
 		t.Fatalf("rounds = %d", len(reuse.Rounds))
 	}
-	if reuse.SteadyState() >= reuse.Rounds[0] {
+	if steady(reuse) >= reuse.Rounds[0] {
 		t.Fatalf("steady state (%v) not faster than cold round (%v)",
-			reuse.SteadyState(), reuse.Rounds[0])
+			steady(reuse), reuse.Rounds[0])
 	}
-	if float64(reuse.SteadyState()) > 0.8*float64(reuse.Rounds[0]) {
+	if float64(steady(reuse)) > 0.8*float64(reuse.Rounds[0]) {
 		t.Fatalf("warm cache amortized too little: %v vs %v",
-			reuse.SteadyState(), reuse.Rounds[0])
+			steady(reuse), reuse.Rounds[0])
 	}
 
 	// Fresh inputs every round: the CPU re-dirties its lines, so every
 	// round pays coherent refills and stays near the cold cost.
-	fresh, err := RunRepeated(Compile(g), cfg, 4, false)
+	fresh, err := repeated(Compile(g), cfg, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(fresh.SteadyState()) < 0.7*float64(fresh.Rounds[0]) {
+	if float64(steady(fresh)) < 0.7*float64(fresh.Rounds[0]) {
 		t.Fatalf("fresh inputs should not amortize: %v vs %v",
-			fresh.SteadyState(), fresh.Rounds[0])
+			steady(fresh), fresh.Rounds[0])
 	}
 	// And the reused-inputs steady state beats the fresh-inputs one.
-	if reuse.SteadyState() >= fresh.SteadyState() {
+	if steady(reuse) >= steady(fresh) {
 		t.Fatalf("reuse steady state %v not below fresh %v",
-			reuse.SteadyState(), fresh.SteadyState())
+			steady(reuse), steady(fresh))
 	}
 }
 
 func TestRunRepeatedDMAConstant(t *testing.T) {
 	g := streamKernel(1024)
 	cfg := DefaultConfig()
-	rr, err := RunRepeated(Compile(g), cfg, 3, true)
+	rr, err := repeated(Compile(g), cfg, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +246,8 @@ func TestRunRepeatedDMAConstant(t *testing.T) {
 			t.Fatalf("DMA round %d = %v vs round 0 = %v", i, rr.Rounds[i], rr.Rounds[0])
 		}
 	}
-	if rr.Final.Runtime != rr.Total {
-		t.Fatal("final runtime != total")
+	if rr.Results[0].Runtime != rr.Makespan {
+		t.Fatal("cumulative runtime != makespan")
 	}
 }
 
@@ -247,7 +263,7 @@ func TestRunRepeatedWithTraffic(t *testing.T) {
 	busy := quiet
 	busy.Traffic = &TrafficConfig{Period: 200 * sim.Nanosecond, Bytes: 32}
 
-	rr, err := RunRepeated(k, busy, 3, false)
+	rr, err := repeated(k, busy, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +274,7 @@ func TestRunRepeatedWithTraffic(t *testing.T) {
 	if rr.Rounds[0] != one.Runtime {
 		t.Fatalf("first round %v, plain run %v", rr.Rounds[0], one.Runtime)
 	}
-	base, err := RunRepeated(k, quiet, 3, false)
+	base, err := repeated(k, quiet, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +287,7 @@ func TestRunRepeatedWithTraffic(t *testing.T) {
 
 func TestRunRepeatedValidation(t *testing.T) {
 	g := streamKernel(64)
-	if _, err := RunRepeated(Compile(g), DefaultConfig(), 0, false); err == nil {
+	if _, err := repeated(Compile(g), DefaultConfig(), 0, false); err == nil {
 		t.Fatal("zero invocations accepted")
 	}
 }

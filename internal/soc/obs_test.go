@@ -16,7 +16,7 @@ func observedRun(t *testing.T, cfg Config) (text, jsonDump, trace []byte) {
 	g := streamKernel(512)
 	o := obs.New(true)
 	cfg.Obs = o
-	if _, err := RunGraph(g, cfg); err != nil {
+	if _, err := Run(Compile(g), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var tb, jb, trb bytes.Buffer
@@ -125,13 +125,14 @@ func TestObserverDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
-// RunMulti nests the second accelerator's stats and tracks under accel1.
+// A multi-accelerator invocation nests the second accelerator's stats and
+// tracks under accel1.
 func TestMultiAcceleratorObservability(t *testing.T) {
 	g := streamKernel(256)
 	cfg := DefaultConfig()
 	o := obs.New(true)
 	cfg.Obs = o
-	if _, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg}); err != nil {
+	if _, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{cfg, cfg}); err != nil {
 		t.Fatal(err)
 	}
 	var tb bytes.Buffer

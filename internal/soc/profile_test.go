@@ -22,7 +22,7 @@ func TestProfileAttributionExactOnAllKernels(t *testing.T) {
 			for _, kind := range []MemKind{DMA, Cache} {
 				cfg := DefaultConfig()
 				cfg.Mem = kind
-				res, att, err := ProfileRun(Compile(g), cfg)
+				res, att, err := new(Runner).ProfileRun(Compile(g), cfg)
 				if err != nil {
 					t.Fatalf("%v: %v", kind, err)
 				}
@@ -66,7 +66,7 @@ func TestProfileRunDoesNotPerturbTiming(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Mem = kind
 		bare := mustRun(t, g, cfg)
-		res, att, err := ProfileRun(Compile(g), cfg)
+		res, att, err := new(Runner).ProfileRun(Compile(g), cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -88,12 +88,12 @@ func TestProfileRunIsolatesObserver(t *testing.T) {
 	cfg := DefaultConfig()
 	caller := &obs.Observer{Registry: obs.NewRegistry()}
 	cfg.Obs = caller
-	if _, _, err := ProfileRun(Compile(g), cfg); err != nil {
+	if _, _, err := new(Runner).ProfileRun(Compile(g), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Running twice with the same caller config must not panic on
 	// duplicate registration — each call gets a private registry.
-	if _, _, err := ProfileRun(Compile(g), cfg); err != nil {
+	if _, _, err := new(Runner).ProfileRun(Compile(g), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if caller.Registry.Len() != 0 {

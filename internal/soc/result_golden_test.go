@@ -90,6 +90,32 @@ func (g goldenHash) outcome(label string, res any, err error) (stalled bool) {
 	return false
 }
 
+// repeatShape and multiShape lay an invocation's outcome out as the
+// repeated and multi-accelerator results this digest was first taken over
+// were laid out, so that it folds the same values in the same order: the
+// round latencies, the total and the cumulative result; or the results and
+// the makespan.
+func repeatShape(out *InvocationResult) any {
+	if out == nil {
+		return nil
+	}
+	return &struct {
+		Rounds []sim.Tick
+		Total  sim.Tick
+		Final  *RunResult
+	}{out.Rounds, out.Makespan, out.Results[0]}
+}
+
+func multiShape(out *InvocationResult) any {
+	if out == nil {
+		return nil
+	}
+	return &struct {
+		Results  []*RunResult
+		Makespan sim.Tick
+	}{out.Results, out.Makespan}
+}
+
 // resultVariant is one datapath/system setting TestRunResultGolden crosses
 // with every kernel, memory system and fabric.
 type resultVariant struct {
@@ -155,10 +181,12 @@ func TestRunResultGolden(t *testing.T) {
 
 		dmaCfg, cacheCfg := DefaultConfig(), DefaultConfig()
 		cacheCfg.Mem = Cache
-		rep, err := RunRepeated(k, dmaCfg, 3, true)
-		fold(name+"/repeated", rep, err)
-		multi, err := RunMulti([]*Compiled{k, spmv}, []Config{dmaCfg, cacheCfg})
-		fold(name+"/multi", multi, err)
+		rep, err := r.Invoke(Invocation{Kernels: []*Compiled{k}, Configs: []Config{dmaCfg},
+			Rounds: 3, ReuseInputs: true})
+		fold(name+"/repeated", repeatShape(rep), err)
+		multi, err := r.Invoke(Invocation{Kernels: []*Compiled{k, spmv},
+			Configs: []Config{dmaCfg, cacheCfg}, Rounds: 1})
+		fold(name+"/multi", multiShape(multi), err)
 
 		for _, mem := range []MemKind{Isolated, DMA, Cache} {
 			for _, lanes := range []int{64, 65, 130} {

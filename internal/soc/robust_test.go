@@ -145,7 +145,7 @@ func TestWatchdogCatchesWedgedTransfer(t *testing.T) {
 	cfg.DMATriggered = false
 	cfg.Faults = fault.Config{Seed: 1, BusNackProb: 1, BusRetryLimit: 0,
 		BusBackoff: 10 * sim.Nanosecond}
-	res, err := RunGraph(g, cfg)
+	res, err := Run(Compile(g), cfg)
 	if err == nil {
 		t.Fatalf("wedged run returned a result: %+v", res)
 	}
@@ -176,7 +176,7 @@ func TestWatchdogTickBudget(t *testing.T) {
 	g := streamKernel(256)
 	cfg := DefaultConfig()
 	cfg.WatchdogTicks = 10 // ten picoseconds: no transfer can finish
-	_, err := RunGraph(g, cfg)
+	_, err := Run(Compile(g), cfg)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("error %v does not wrap ErrAborted", err)
 	}
@@ -199,7 +199,7 @@ func TestWatchdogBudgetCatchesLivelock(t *testing.T) {
 	cfg.Faults = fault.Config{Seed: 1, BusNackProb: 1, BusRetryLimit: 0,
 		BusBackoff: 10 * sim.Nanosecond}
 	cfg.WatchdogTicks = sim.Tick(1e9) // 1 ms of virtual time, never reached cleanly
-	_, err := RunGraph(g, cfg)
+	_, err := Run(Compile(g), cfg)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("error %v does not wrap ErrAborted", err)
 	}
@@ -229,7 +229,7 @@ func TestDMAAbortSurfacesError(t *testing.T) {
 	cfg.Faults = fault.Config{Seed: 1, BusNackProb: 1, BusRetryLimit: 0,
 		BusBackoff: 10 * sim.Nanosecond,
 		DMATimeout: 1000 * sim.Nanosecond, DMARetries: 2}
-	_, err := RunGraph(g, cfg)
+	_, err := Run(Compile(g), cfg)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("error %v does not wrap ErrAborted", err)
 	}
@@ -256,12 +256,12 @@ func TestSanitizeMachSuite(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mem = Cache
 			cfg.Sanitize = true
-			if _, err := RunGraph(g, cfg); err != nil {
+			if _, err := Run(Compile(g), cfg); err != nil {
 				t.Fatalf("sanitizer violation: %v", err)
 			}
 			// The DMA path exercises FlushLine and coherent streaming too.
 			cfg.Mem = DMA
-			if _, err := RunGraph(g, cfg); err != nil {
+			if _, err := Run(Compile(g), cfg); err != nil {
 				t.Fatalf("sanitizer violation (dma): %v", err)
 			}
 		})

@@ -40,7 +40,8 @@ func runnerConfigs() map[string]Config {
 // artifact through every MachSuite kernel under DMA and cache memory systems
 // (faults off and seeded on) and requires every result — cycles, energy,
 // EDP, per-block stats, fault log — to be bit-identical to a fresh
-// per-point RunGraph (compile-per-run) of the same design point. This is
+// per-point Run(Compile(g), cfg) (compile-per-run) of the same design
+// point. This is
 // both reuse contracts at once: recycled engine, coherence, and datapath
 // state must never leak between runs, and nothing in the shared artifact
 // may be mutated by a run.
@@ -56,7 +57,7 @@ func TestRunnerBitIdentical(t *testing.T) {
 		for label, cfg := range runnerConfigs() {
 			t.Run(name+"/"+label, func(t *testing.T) {
 				pooled, errP := r.Run(k, cfg)
-				fresh, errF := RunGraph(g, cfg)
+				fresh, errF := Run(Compile(g), cfg)
 				if (errP == nil) != (errF == nil) {
 					t.Fatalf("error mismatch: pooled %v, fresh %v", errP, errF)
 				}
@@ -67,7 +68,7 @@ func TestRunnerBitIdentical(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(pooled, fresh) {
-					t.Fatalf("pooled Runner result diverged from fresh RunGraph:\npooled: %+v\nfresh:  %+v", pooled, fresh)
+					t.Fatalf("pooled Runner result diverged from a fresh compile-and-run:\npooled: %+v\nfresh:  %+v", pooled, fresh)
 				}
 			})
 		}
@@ -76,23 +77,50 @@ func TestRunnerBitIdentical(t *testing.T) {
 
 // TestRunnerSurvivesMemKindSwitch reuses one Runner across alternating
 // memory systems and kernel shapes, the pattern a mixed DMA+cache sweep
-// produces on each worker.
+// produces on each worker. Between its single runs the same Runner takes
+// invocations of one, two and three accelerators and one of three rounds,
+// so each accelerator slot's recycled datapath changes kernel, memory
+// system and round count; every outcome must match a fresh one-shot run.
 func TestRunnerSurvivesMemKindSwitch(t *testing.T) {
 	var r Runner
 	cfgs := runnerConfigs()
-	for _, name := range []string{"fft-transpose", "spmv-crs"} {
-		k := Compile(kernelGraph(t, name))
+	fft, spmv := Compile(kernelGraph(t, "fft-transpose")), Compile(kernelGraph(t, "spmv-crs"))
+	invs := []Invocation{
+		{Kernels: []*Compiled{spmv}, Configs: []Config{cfgs["cache"]}, Rounds: 1},
+		{Kernels: []*Compiled{fft, spmv}, Configs: []Config{cfgs["dma"], cfgs["cache"]}, Rounds: 1},
+		{Kernels: []*Compiled{spmv, fft, spmv},
+			Configs: []Config{cfgs["cache-faults"], cfgs["dma"], cfgs["dma-faults"]}, Rounds: 1},
+		{Kernels: []*Compiled{fft}, Configs: []Config{cfgs["cache"]}, Rounds: 3},
+	}
+	step := 0
+	for _, k := range []*Compiled{fft, spmv} {
 		for _, label := range []string{"dma", "cache", "dma", "cache-faults", "dma-faults", "cache"} {
+			name := k.Graph().Trace.Name + "/" + label
 			pooled, err := r.Run(k, cfgs[label])
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, label, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			fresh, err := Run(k, cfgs[label])
 			if err != nil {
-				t.Fatalf("%s/%s fresh: %v", name, label, err)
+				t.Fatalf("%s fresh: %v", name, err)
 			}
 			if !reflect.DeepEqual(pooled, fresh) {
-				t.Fatalf("%s/%s: interleaved Runner result diverged from fresh Run", name, label)
+				t.Fatalf("%s: interleaved Runner result diverged from fresh Run", name)
+			}
+
+			inv := invs[step%len(invs)]
+			step++
+			got, err := r.Invoke(inv)
+			if err != nil {
+				t.Fatalf("after %s, invocation %d: %v", name, step%len(invs), err)
+			}
+			want, err := new(Runner).Invoke(inv)
+			if err != nil {
+				t.Fatalf("invocation %d fresh: %v", step%len(invs), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s: invocation of %d accelerators x %d rounds diverged from a fresh one",
+					name, len(inv.Kernels), inv.Rounds)
 			}
 		}
 	}
@@ -178,5 +206,40 @@ func TestRunnerPerPointAllocs(t *testing.T) {
 	})
 	if avg > ceiling {
 		t.Fatalf("per-point allocations %.0f exceed ceiling %d", avg, ceiling)
+	}
+}
+
+// TestInvocationAllocs gates a two-accelerator invocation on a reused Runner
+// the way TestRunnerPerPointAllocs gates a single point: fft-transpose on
+// DMA beside spmv-crs on the cache. The ceiling has headroom over the
+// measured count (549) and stays below the 992 the same pair took when
+// every multi-accelerator run built a fresh engine, coherence directory
+// and datapaths.
+func TestInvocationAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state averaging")
+	}
+	cfgs := runnerConfigs()
+	inv := Invocation{
+		Kernels: []*Compiled{Compile(kernelGraph(t, "fft-transpose")), Compile(kernelGraph(t, "spmv-crs"))},
+		Configs: []Config{cfgs["dma"], cfgs["cache"]},
+		Rounds:  1,
+	}
+	var r Runner
+	// Warm the runner's slots and the artifacts' lane-layout caches.
+	for i := 0; i < 2; i++ {
+		if _, err := r.Invoke(inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ceiling = 900
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := r.Invoke(inv); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per two-accelerator invocation", avg)
+	if avg > ceiling {
+		t.Fatalf("per-invocation allocations %.0f exceed ceiling %d", avg, ceiling)
 	}
 }

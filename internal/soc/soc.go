@@ -7,9 +7,11 @@
 // This is the experiment entry point: callers Compile a DDDG once into an
 // immutable per-kernel artifact, then every figure harness and the design
 // space explorer call soc.Run with different Configs over that shared
-// Compiled. RunMulti places several accelerators (the ACCEL0/ACCEL1 arrangement of
-// the paper's Fig 3 SoC diagram) on one shared bus and memory to study
-// shared-resource contention between accelerators.
+// Compiled. Runner.Invoke is the one lifecycle behind Run: it places
+// several accelerators (the ACCEL0/ACCEL1 arrangement of the paper's Fig 3
+// SoC diagram) on one shared fabric and memory to study shared-resource
+// contention between them, and invokes them back to back for warm-cache
+// studies. Run is its one-accelerator, one-round case.
 package soc
 
 import (
@@ -291,19 +293,11 @@ type fabric struct {
 	gen     *cpu.TrafficGen
 	inj     *fault.Injector
 	san     *sanitize.Checker
-
-	// dpScratch, when non-nil, recycles the datapath's scheduler buffers
-	// across design points (set by Runner; single-instance fabrics only).
-	dpScratch *core.Scratch
-}
-
-func newFabric(cfg Config) *fabric {
-	return newFabricOn(sim.NewEngine(), coherence.NewController(), cfg)
 }
 
 // newFabricOn assembles the fabric on a caller-provided engine and coherence
 // controller, both assumed freshly created or Reset. Runner recycles its pair
-// across design points through this path.
+// across invocations through this path.
 func newFabricOn(eng *sim.Engine, coh *coherence.Controller, cfg Config) *fabric {
 	f := &fabric{eng: eng, coh: coh}
 	f.inj = fault.New(cfg.Faults)
@@ -321,19 +315,9 @@ func newFabricOn(eng *sim.Engine, coh *coherence.Controller, cfg Config) *fabric
 	eng.AddWatch(sim.Watch{Name: "dram", InFlight: f.dram.InFlight, Dump: f.dram.DumpInFlight})
 	if cfg.Traffic != nil {
 		f.gen = cpu.NewTrafficGen(eng, f.bus, cfg.Traffic.Period, cfg.Traffic.Bytes)
-		f.gen.Start()
 	}
 	f.observe(cfg.Obs)
 	return f
-}
-
-// stopTraffic stops the background traffic generator, if any, once an
-// invocation is observed: the generator reschedules itself until stopped,
-// so the event queue could not drain otherwise.
-func (f *fabric) stopTraffic() {
-	if f.gen != nil {
-		f.gen.Stop()
-	}
 }
 
 // run drives the engine to completion under the watchdog and surfaces any
@@ -410,10 +394,11 @@ type instance struct {
 	dpCfg  core.Config
 	dp     *core.Datapath
 	// dpProbe persists across rounds: newRound re-attaches it to the
-	// fresh datapath.
+	// rewound datapath.
 	dpProbe *obs.Probe
 
 	dpResult *core.Result
+	past     []*core.Result // the datapath results of earlier rounds
 	endTick  sim.Tick
 	finished bool
 }
@@ -421,12 +406,9 @@ type instance struct {
 // instanceWindow spaces accelerator physical windows far apart.
 const instanceWindow = 1 << 28
 
-// attach wires one accelerator into the fabric. idx selects its physical
-// address window.
-func (f *fabric) attach(k *Compiled, cfg Config, idx int) (*instance, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// attach wires one accelerator into the fabric. cfg must be valid; idx
+// selects its physical address window, and sc recycles its datapath.
+func (f *fabric) attach(k *Compiled, cfg Config, idx int, sc *core.Scratch) *instance {
 	g := k.Graph()
 	inst := &instance{f: f, cfg: cfg, k: k, g: g, addrOff: uint64(idx) * instanceWindow}
 	accelClock := sim.NewClockHz(cfg.AccelHz)
@@ -466,12 +448,16 @@ func (f *fabric) attach(k *Compiled, cfg Config, idx int) (*instance, error) {
 		inst.tb = tlb.NewWithOffset(tlb.DefaultConfig(), 1<<30+inst.addrOff)
 		inst.mem = core.NewCacheMem(f.eng, inst.cch, inst.tb, inst.sp, g)
 		inst.dirtyCPULines()
-	default:
-		return nil, fmt.Errorf("soc: unknown memory kind %v", cfg.Mem)
+	}
+	inst.dp = sc.Build(f.eng, k.prog, dpCfg, inst.mem)
+	if inst.cch != nil {
+		// The mfence before signaling waits for outstanding fills; if a
+		// prefetch is the last access in flight, the cache's idle hook
+		// re-checks the drain condition.
+		inst.cch.OnIdle = inst.dp.Wake
 	}
 	inst.observe(cfg.Obs, idx)
-	inst.newRound()
-	return inst, nil
+	return inst
 }
 
 // observe registers this accelerator's counters and probes. Accelerator 0
@@ -489,9 +475,9 @@ func (inst *instance) observe(o *obs.Observer, idx int) {
 	}
 	reg := base.Registry
 
-	// The datapath is rebuilt every invocation (newRound), so counters
-	// read through a closure that follows the current instance and, once
-	// finished, the (possibly round-accumulated) result.
+	// The datapath is rewound every round (newRound), so counters read
+	// through a closure that follows the current round and, once
+	// collected, the (possibly round-accumulated) result.
 	core.RegisterStats(reg, base.Path("datapath"), func() core.Stats {
 		if inst.dpResult != nil {
 			return inst.dpResult.Stats
@@ -533,6 +519,7 @@ func (inst *instance) observe(o *obs.Observer, idx int) {
 	if o.Profiling() {
 		inst.dpProbe.Listen(o.Profile.Listener(obs.BucketCompute))
 	}
+	inst.dp.AttachProbe(inst.dpProbe)
 	if inst.engDMA != nil {
 		transfer, flush := &obs.Probe{}, &obs.Probe{}
 		inst.engDMA.AttachProbe(transfer, flush)
@@ -579,31 +566,21 @@ func (inst *instance) dirtyCPULines() {
 	}
 }
 
-// newRound builds a fresh datapath over the shared memory structures: the
-// scheduler state is per invocation, the cache/TLB/scratchpad contents
-// persist across rounds. Later rounds of one instance rewind the existing
-// scheduler in place; the first round draws from the fabric's scratch when a
-// Runner provided one.
-func (inst *instance) newRound() {
-	switch {
-	case inst.dp != nil:
-		inst.dp.Reset()
-	case inst.f.dpScratch != nil:
-		inst.dp = inst.f.dpScratch.Build(inst.f.eng, inst.k.prog, inst.dpCfg, inst.mem)
-	default:
-		inst.dp = core.NewDatapathOver(inst.f.eng, inst.k.prog, inst.dpCfg, inst.mem)
-	}
+// newRound readies the instance for its next round: the finished round's
+// datapath result is kept for the cumulative one, and the scheduler is
+// rewound in place, while the cache, TLB and scratchpad contents persist.
+// Unless the inputs are reused, the host rewrites them first.
+func (inst *instance) newRound(reuseInputs bool) {
+	inst.past = append(inst.past, inst.dpResult)
+	inst.dp.Reset()
 	if inst.dpProbe != nil {
 		inst.dp.AttachProbe(inst.dpProbe)
 	}
-	if inst.cch != nil {
-		// The mfence before signaling waits for outstanding fills; if a
-		// prefetch is the last access in flight, the cache's idle hook
-		// re-checks the drain condition.
-		inst.cch.OnIdle = inst.dp.Wake
-	}
 	inst.finished = false
 	inst.dpResult = nil
+	if !reuseInputs {
+		inst.dirtyCPULines()
+	}
 }
 
 // transfers returns the DMA descriptor list for the instance's arrays. The
@@ -622,8 +599,8 @@ func (inst *instance) transfers() []dma.Transfer {
 	return out
 }
 
-// launch begins the invocation; onDone fires when the host CPU observes
-// completion.
+// launch begins the instance's round; onDone fires when the host CPU
+// observes its completion.
 func (inst *instance) launch(onDone func()) {
 	finish := func() {
 		inst.finished = true
@@ -670,12 +647,21 @@ func (inst *instance) launch(onDone func()) {
 	}
 }
 
-// collect assembles the RunResult after the simulation drains. busStats
-// and dramStats are fabric-wide; in multi-accelerator runs they include
-// every agent's traffic.
-func (inst *instance) collect(pm *power.Model) (*RunResult, error) {
+// collect assembles the RunResult after the simulation drains. Bus and
+// DRAM statistics are fabric-wide: with several accelerators they include
+// every agent's traffic. After several rounds the result is cumulative:
+// Runtime runs to the last round's completion, and the datapath counters,
+// compute intervals and energy cover every round.
+func (inst *instance) collect() (*RunResult, error) {
 	if !inst.finished || inst.dpResult == nil {
 		return nil, fmt.Errorf("soc: simulation did not complete (deadlock?)")
+	}
+	if len(inst.past) > 0 {
+		inst.dpResult = cumulative(append(inst.past, inst.dpResult))
+	}
+	pm := inst.cfg.Power
+	if pm == nil {
+		pm = power.Default()
 	}
 	res := &RunResult{Config: inst.cfg}
 	res.Runtime = inst.endTick
@@ -708,32 +694,105 @@ func (inst *instance) collect(pm *power.Model) (*RunResult, error) {
 	return res, nil
 }
 
-// Runner evaluates design points one at a time while recycling the heavy
-// simulation state between them: the event queue's heap and ring, the
-// coherence directory's slot table, and the datapath scheduler's dependence
-// counters, lane state, and completion ring. Results are bit-identical to
-// soc.Run — a reset engine restarts tick and sequence numbering from zero,
-// so event ordering cannot differ — but a sweep worker that owns a Runner
-// stops paying the per-point warm-up allocations that dominate fabric
-// construction. A Runner is single-threaded: each concurrent worker owns
-// its own. The zero value is ready to use.
-//
-// Reuse contract: each Run invalidates nothing from previous calls — every
-// RunResult (stats, schedule, intervals, fault log) owns its memory — but
-// the Runner must not be shared between goroutines, and a Run must finish
-// before the next begins.
-type Runner struct {
-	eng       *sim.Engine
-	coh       *coherence.Controller
-	dpScratch core.Scratch
+// cumulative folds the datapath results of several rounds into one: the
+// counters summed, the compute intervals merged, the last round's schedule.
+// LaneOps is not summed, so it stays nil (see InvocationResult).
+func cumulative(rounds []*core.Result) *core.Result {
+	out := &core.Result{Schedule: rounds[len(rounds)-1].Schedule}
+	ivals := make([][]obs.Interval, len(rounds))
+	s := &out.Stats
+	for i, r := range rounds {
+		for k := range s.OpsIssued {
+			s.OpsIssued[k] += r.Stats.OpsIssued[k]
+		}
+		s.Cycles += r.Stats.Cycles
+		s.ActiveCycles += r.Stats.ActiveCycles
+		s.MemStalls += r.Stats.MemStalls
+		s.DepStalls += r.Stats.DepStalls
+		s.BarrierStalls += r.Stats.BarrierStalls
+		ivals[i] = r.ComputeIntervals
+	}
+	out.ComputeIntervals = obs.Merge(ivals...)
+	return out
 }
 
-// Run executes one invocation of the compiled kernel k under cfg, recycling
-// the runner's state. The artifact is read-only here: any number of Runners
-// (one per goroutine) may share one Compiled.
-func (r *Runner) Run(k *Compiled, cfg Config) (*RunResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// Invocation is what one Runner.Invoke simulates: len(Kernels) accelerators
+// launched together on one shared fabric, bus, DRAM and coherence directory
+// (the ACCEL0/ACCEL1 arrangement of the paper's Fig 3 SoC), Rounds times
+// back to back. Kernels[i] runs under Configs[i], and the same kernel may
+// appear more than once. The system-level parameters (fabric, DRAM, host
+// CPU, background traffic, faults, sanitizer and tick budget) come from
+// Configs[0].
+//
+// Cache and TLB contents persist between rounds. With ReuseInputs false
+// (the realistic default) the host rewrites the inputs before every later
+// round, re-dirtying its cache lines and invalidating the accelerator's
+// copies; with ReuseInputs true the inputs stay resident (weights,
+// coefficient tables), which is where a cache interface amortizes its cold
+// misses while DMA pays the full transfer every time.
+type Invocation struct {
+	Kernels     []*Compiled
+	Configs     []Config
+	Rounds      int
+	ReuseInputs bool
+}
+
+// InvocationResult is the outcome of an Invocation.
+type InvocationResult struct {
+	// Results holds each accelerator's view, in attach order; see collect
+	// for what a result over several rounds covers. Known defect: its
+	// Datapath.LaneOps is not summed across rounds, so after more than one
+	// round LaneOps, and so LaneUtilization, is nil. TestRunResultGolden
+	// pins that nil.
+	Results []*RunResult
+	// Rounds holds each round's latency: from the previous round's end (0
+	// for the first) to when its last completion was observed. The last
+	// entry is the warmed-up cost of an invocation.
+	Rounds []sim.Tick
+	// Makespan is when the last round's last completion was observed.
+	Makespan sim.Tick
+}
+
+// Runner simulates invocations one at a time while recycling the heavy
+// simulation state between them: the event queue's heap and ring, the
+// coherence directory's slot table, and each accelerator slot's datapath
+// scheduler (dependence counters, lane state, completion ring). Results are
+// bit-identical to a fresh Runner's — a reset engine restarts tick and
+// sequence numbering from zero, so event ordering cannot differ — but a
+// sweep worker that owns a Runner stops paying the per-point warm-up
+// allocations that dominate fabric construction. A Runner is
+// single-threaded: each concurrent worker owns its own. The zero value is
+// ready to use.
+//
+// Reuse contract: each call invalidates nothing from previous calls — every
+// RunResult (stats, schedule, intervals, fault log) owns its memory — but
+// the Runner must not be shared between goroutines, and a call must finish
+// before the next begins.
+type Runner struct {
+	eng     *sim.Engine
+	coh     *coherence.Controller
+	scratch []core.Scratch // one per accelerator slot
+}
+
+// Invoke simulates inv on the runner's recycled state. Each config is
+// validated once; each round starts the background traffic, launches every
+// accelerator and stops the traffic once the last completion is observed.
+// Errors name the accelerator or the round only where there is more than
+// one. The artifacts are read-only here: any number of Runners (one per
+// goroutine) may share them.
+func (r *Runner) Invoke(inv Invocation) (*InvocationResult, error) {
+	n := len(inv.Kernels)
+	if n == 0 || n != len(inv.Configs) {
+		return nil, fmt.Errorf("soc: an invocation needs matching kernels and configs, got %d/%d",
+			n, len(inv.Configs))
+	}
+	if inv.Rounds <= 0 {
+		return nil, fmt.Errorf("soc: non-positive round count %d", inv.Rounds)
+	}
+	for i := range inv.Configs {
+		if err := inv.Configs[i].Validate(); err != nil {
+			return nil, nth("accelerator", i, n, err)
+		}
 	}
 	if r.eng == nil {
 		r.eng = sim.NewEngine()
@@ -742,21 +801,78 @@ func (r *Runner) Run(k *Compiled, cfg Config) (*RunResult, error) {
 		r.eng.Reset()
 		r.coh.Reset()
 	}
-	f := newFabricOn(r.eng, r.coh, cfg)
-	f.dpScratch = &r.dpScratch
-	inst, err := f.attach(k, cfg, 0)
+	for len(r.scratch) < n {
+		r.scratch = append(r.scratch, core.Scratch{})
+	}
+	sys := inv.Configs[0]
+	f := newFabricOn(r.eng, r.coh, sys)
+	insts := make([]*instance, n)
+	for i, k := range inv.Kernels {
+		insts[i] = f.attach(k, inv.Configs[i], i, &r.scratch[i])
+	}
+
+	out := &InvocationResult{Rounds: make([]sim.Tick, 0, inv.Rounds)}
+	remaining := 0
+	done := func() {
+		// The generator reschedules itself until stopped, so the event
+		// queue could not drain otherwise.
+		if remaining--; remaining == 0 && f.gen != nil {
+			f.gen.Stop()
+		}
+	}
+	for round := range inv.Rounds {
+		if f.gen != nil {
+			f.gen.Start()
+		}
+		remaining = n
+		for _, inst := range insts {
+			if round > 0 {
+				inst.newRound(inv.ReuseInputs)
+			}
+			inst.launch(done)
+		}
+		if err := f.run(sys); err != nil {
+			return nil, nth("round", round, inv.Rounds, err)
+		}
+		if remaining > 0 {
+			break // collect reports the accelerator that did not complete
+		}
+		end := out.Makespan
+		for _, inst := range insts {
+			end = max(end, inst.endTick)
+		}
+		out.Rounds = append(out.Rounds, end-out.Makespan)
+		out.Makespan = end
+	}
+
+	out.Results = make([]*RunResult, n)
+	for i, inst := range insts {
+		res, err := inst.collect()
+		if err != nil {
+			return nil, nth("accelerator", i, n, err)
+		}
+		out.Results[i] = res
+	}
+	return out, nil
+}
+
+// nth names the i-th accelerator or round in err when there are more than
+// one of them.
+func nth(what string, i, n int, err error) error {
+	if n == 1 {
+		return err
+	}
+	return fmt.Errorf("soc: %s %d: %w", what, i, err)
+}
+
+// Run executes one invocation of the compiled kernel k under cfg, recycling
+// the runner's state: Invoke's one-accelerator, one-round case.
+func (r *Runner) Run(k *Compiled, cfg Config) (*RunResult, error) {
+	out, err := r.Invoke(Invocation{Kernels: []*Compiled{k}, Configs: []Config{cfg}, Rounds: 1})
 	if err != nil {
 		return nil, err
 	}
-	inst.launch(f.stopTraffic)
-	if err := f.run(cfg); err != nil {
-		return nil, err
-	}
-	pm := cfg.Power
-	if pm == nil {
-		pm = power.Default()
-	}
-	return inst.collect(pm)
+	return out.Results[0], nil
 }
 
 // ProfileRun executes one invocation with the cycle-attribution profiler
@@ -785,166 +901,6 @@ func (r *Runner) ProfileRun(k *Compiled, cfg Config) (*RunResult, obs.Attributio
 func Run(k *Compiled, cfg Config) (*RunResult, error) {
 	var r Runner
 	return r.Run(k, cfg)
-}
-
-// RunGraph compiles g and executes one invocation under cfg — the
-// pre-artifact path. Callers evaluating more than one design point should
-// Compile once and pass the artifact to Run.
-func RunGraph(g *ddg.Graph, cfg Config) (*RunResult, error) {
-	return Run(Compile(g), cfg)
-}
-
-// ProfileRun is the one-shot form of Runner.ProfileRun.
-func ProfileRun(k *Compiled, cfg Config) (*RunResult, obs.Attribution, error) {
-	var r Runner
-	return r.ProfileRun(k, cfg)
-}
-
-// MultiResult is the outcome of a multi-accelerator run.
-type MultiResult struct {
-	// Results holds each accelerator's view, in attach order. Bus and
-	// DRAM statistics are fabric-wide.
-	Results []*RunResult
-	// Makespan is when the last accelerator's completion was observed.
-	Makespan sim.Tick
-}
-
-// RunMulti simulates several accelerators launched simultaneously on one
-// shared bus, DRAM, and coherence fabric — the ACCEL0/ACCEL1 arrangement
-// of the paper's Fig 3 SoC. System-level parameters (bus, DRAM, host CPU,
-// background traffic) come from the first config.
-func RunMulti(ks []*Compiled, cfgs []Config) (*MultiResult, error) {
-	if len(ks) == 0 || len(ks) != len(cfgs) {
-		return nil, fmt.Errorf("soc: RunMulti needs matching kernels and configs, got %d/%d",
-			len(ks), len(cfgs))
-	}
-	for i := range cfgs {
-		if err := cfgs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("soc: accelerator %d: %w", i, err)
-		}
-	}
-	f := newFabric(cfgs[0])
-	insts := make([]*instance, len(ks))
-	for i := range ks {
-		inst, err := f.attach(ks[i], cfgs[i], i)
-		if err != nil {
-			return nil, fmt.Errorf("soc: accelerator %d: %w", i, err)
-		}
-		insts[i] = inst
-	}
-	remaining := len(insts)
-	for _, inst := range insts {
-		inst.launch(func() {
-			remaining--
-			if remaining == 0 && f.gen != nil {
-				f.gen.Stop()
-			}
-		})
-	}
-	if err := f.run(cfgs[0]); err != nil {
-		return nil, err
-	}
-
-	out := &MultiResult{}
-	for i, inst := range insts {
-		pm := cfgs[i].Power
-		if pm == nil {
-			pm = power.Default()
-		}
-		r, err := inst.collect(pm)
-		if err != nil {
-			return nil, fmt.Errorf("soc: accelerator %d: %w", i, err)
-		}
-		out.Results = append(out.Results, r)
-		if r.Runtime > out.Makespan {
-			out.Makespan = r.Runtime
-		}
-	}
-	return out, nil
-}
-
-// RepeatResult is the outcome of RunRepeated.
-type RepeatResult struct {
-	// Rounds holds each invocation's latency, in order.
-	Rounds []sim.Tick
-	// Total is the end-to-end time of all invocations.
-	Total sim.Tick
-	// Final carries cumulative statistics; its Runtime is Total.
-	Final *RunResult
-}
-
-// SteadyState returns the last round's latency: the warmed-up cost of an
-// invocation once caches and TLBs hold whatever survives between calls.
-func (r *RepeatResult) SteadyState() sim.Tick { return r.Rounds[len(r.Rounds)-1] }
-
-// RunRepeated invokes the accelerator `invocations` times back to back.
-// Cache and TLB contents persist between rounds. With reuseInputs=false
-// (the realistic default) the host rewrites the inputs before every call,
-// re-dirtying its cache lines and invalidating the accelerator's copies;
-// with reuseInputs=true the inputs stay resident (weights, coefficient
-// tables), which is where a cache interface amortizes its cold misses
-// while DMA pays the full transfer every time.
-func RunRepeated(k *Compiled, cfg Config, invocations int, reuseInputs bool) (*RepeatResult, error) {
-	if invocations <= 0 {
-		return nil, fmt.Errorf("soc: non-positive invocation count %d", invocations)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f := newFabric(cfg)
-	inst, err := f.attach(k, cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := &RepeatResult{}
-	var accum core.Stats
-	var allIntervals []obs.Interval
-
-	roundStart := sim.Tick(0)
-	for round := 0; round < invocations; round++ {
-		if round > 0 {
-			inst.newRound()
-			if !reuseInputs {
-				inst.dirtyCPULines()
-			}
-			if f.gen != nil {
-				f.gen.Start()
-			}
-		}
-		inst.launch(f.stopTraffic)
-		if err := f.run(cfg); err != nil {
-			return nil, fmt.Errorf("soc: round %d: %w", round, err)
-		}
-		if !inst.finished || inst.dpResult == nil {
-			return nil, fmt.Errorf("soc: round %d did not complete", round)
-		}
-		out.Rounds = append(out.Rounds, inst.endTick-roundStart)
-		roundStart = inst.endTick
-		for k := range accum.OpsIssued {
-			accum.OpsIssued[k] += inst.dpResult.Stats.OpsIssued[k]
-		}
-		accum.Cycles += inst.dpResult.Stats.Cycles
-		accum.ActiveCycles += inst.dpResult.Stats.ActiveCycles
-		accum.MemStalls += inst.dpResult.Stats.MemStalls
-		accum.DepStalls += inst.dpResult.Stats.DepStalls
-		accum.BarrierStalls += inst.dpResult.Stats.BarrierStalls
-		allIntervals = append(allIntervals, inst.dpResult.ComputeIntervals...)
-	}
-
-	// Cumulative result over the whole sequence.
-	inst.dpResult.Stats = accum
-	inst.dpResult.ComputeIntervals = obs.Merge(allIntervals)
-	pm := cfg.Power
-	if pm == nil {
-		pm = power.Default()
-	}
-	final, err := inst.collect(pm)
-	if err != nil {
-		return nil, err
-	}
-	out.Final = final
-	out.Total = final.Runtime
-	return out, nil
 }
 
 // decompose applies the paper's interval algebra to the activity windows:
@@ -1034,11 +990,4 @@ func computeArea(pm *power.Model, cfg Config, g *ddg.Graph, sp *spad.Spad) float
 		area += pm.CacheAreaMM2(uint64(cfg.CacheKB)*1024, cfg.CachePorts)
 	}
 	return area
-}
-
-// RunTrace is a convenience wrapper building the DDDG and compiling it
-// first. Prefer Build + Compile + Run when sweeping many configs over one
-// kernel.
-func RunTrace(tr *trace.Trace, cfg Config) (*RunResult, error) {
-	return RunGraph(ddg.Build(tr), cfg)
 }

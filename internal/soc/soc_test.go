@@ -30,7 +30,7 @@ func streamKernel(n int) *ddg.Graph {
 
 func mustRun(t *testing.T, g *ddg.Graph, cfg Config) *RunResult {
 	t.Helper()
-	r, err := RunGraph(g, cfg)
+	r, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +221,13 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	g := streamKernel(16)
 	cfg := DefaultConfig()
 	cfg.Lanes = 0
-	if _, err := RunGraph(g, cfg); err == nil {
+	if _, err := Run(Compile(g), cfg); err == nil {
 		t.Fatal("zero lanes accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Mem = Cache
 	cfg.CacheLineBytes = 48
-	if _, err := RunGraph(g, cfg); err == nil {
+	if _, err := Run(Compile(g), cfg); err == nil {
 		t.Fatal("bad cache line accepted")
 	}
 }
@@ -251,20 +251,6 @@ func TestDeterminism(t *testing.T) {
 		if a.Runtime != b.Runtime || a.Energy.Total() != b.Energy.Total() {
 			t.Fatalf("%v: nondeterministic results %v/%v", kind, a.Runtime, b.Runtime)
 		}
-	}
-}
-
-func TestRunTraceConvenience(t *testing.T) {
-	b := trace.NewBuilder("tiny")
-	a := b.Alloc("a", trace.F64, 8, trace.InOut)
-	b.BeginIter()
-	b.Store(a, 0, b.FAdd(b.Load(a, 0), b.ConstF(1)))
-	r, err := RunTrace(b.Finish(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Runtime == 0 {
-		t.Fatal("no runtime")
 	}
 }
 
@@ -378,7 +364,7 @@ func TestRandomConfigsComplete(t *testing.T) {
 		if cfg.Validate() != nil {
 			continue // degenerate cache geometry
 		}
-		r, err := RunGraph(g, cfg)
+		r, err := Run(Compile(g), cfg)
 		if err != nil {
 			t.Fatalf("config %d (%+v): %v", i, cfg, err)
 		}

@@ -115,17 +115,17 @@ func TestRunRejectsImpossibleConfig(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		breakIt(&cfg)
-		_, err := RunGraph(g, cfg)
+		_, err := Run(Compile(g), cfg)
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
 			t.Fatalf("Run(%+v) = %v, want *ConfigError", cfg, err)
 		}
 	}
-	if _, err := RunRepeated(Compile(g), Config{}, 2, false); err == nil {
-		t.Fatal("RunRepeated accepted the zero Config")
+	if _, err := repeated(Compile(g), Config{}, 2, false); err == nil {
+		t.Fatal("a repeated invocation accepted the zero Config")
 	}
-	if _, err := RunMulti([]*Compiled{Compile(g), Compile(g)}, []Config{DefaultConfig(), {}}); err == nil {
-		t.Fatal("RunMulti accepted a zero Config in position 1")
+	if _, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{DefaultConfig(), {}}); err == nil {
+		t.Fatal("a two-accelerator invocation accepted a zero Config in position 1")
 	}
 }
 
