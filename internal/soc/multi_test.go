@@ -148,6 +148,16 @@ func TestRunMultiValidation(t *testing.T) {
 	if _, err := together([]*Compiled{Compile(g)}, []Config{bad}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	// Only an invocation of several accelerators names the one at fault;
+	// a single run reports the config error as it is.
+	want := bad.Validate().Error()
+	if _, err := Run(Compile(g), bad); err == nil || err.Error() != want {
+		t.Fatalf("single run: %v, want %q", err, want)
+	}
+	_, err := together([]*Compiled{Compile(g), Compile(g)}, []Config{DefaultConfig(), bad})
+	if err == nil || err.Error() != "soc: accelerator 1: "+want {
+		t.Fatalf("two accelerators: %v, want %q", err, "soc: accelerator 1: "+want)
+	}
 }
 
 func TestRunMultiWithBackgroundTraffic(t *testing.T) {
