@@ -315,6 +315,46 @@ func TestSearchResume(t *testing.T) {
 		t.Fatalf("finished-search replay simulated %d points", again.Simulated)
 	}
 
+	// A checkpoint in the schema-1 JSON format the search wrote before is a
+	// fresh start, not an error: no round is restored, and the search walks
+	// the same sequence again with every point a store hit.
+	fp := sp.Fingerprint("spmv-crs", opts.Seed)
+	data, ok, err := cache.Store.Get("search/test")
+	if err != nil || !ok {
+		t.Fatalf("no checkpoint stored: ok=%v err=%v", ok, err)
+	}
+	st := decodeSearchState(data, sp, fp)
+	if st == nil {
+		t.Fatal("finished search's checkpoint does not decode")
+	}
+	if err := cache.Store.Put("search/test", jsonCheckpoint(t, fp, st)); err != nil {
+		t.Fatal(err)
+	}
+	jsonOpts := resOpts
+	jsonOpts.Progress = func(p SearchProgress) {
+		if p.Replayed {
+			t.Errorf("round %d restored from a schema-1 checkpoint", p.Round)
+		}
+	}
+	fresh, err := Search(context.Background(), k, sp, jsonOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Points, ref.Points) || fresh.Simulated != 0 {
+		t.Fatalf("search over a schema-1 checkpoint simulated %d points", fresh.Simulated)
+	}
+	if len(fresh.Front) != len(ref.Front) {
+		t.Fatalf("search over a schema-1 checkpoint found %d front points, reference %d",
+			len(fresh.Front), len(ref.Front))
+	}
+	for i := range fresh.Front {
+		if !reflect.DeepEqual(fresh.Front[i].Cfg, ref.Front[i].Cfg) ||
+			fresh.Front[i].Res.Runtime != ref.Front[i].Res.Runtime ||
+			fresh.Front[i].Res.AvgPowerW != ref.Front[i].Res.AvgPowerW {
+			t.Fatalf("front point %d over a schema-1 checkpoint differs from reference", i)
+		}
+	}
+
 	// A checkpoint from a different seed must not be trusted: the
 	// fingerprint mismatch forces a fresh start.
 	otherOpts := resOpts
