@@ -130,9 +130,6 @@ func (c *Controller) AddPeer() int {
 	return c.numPeers - 1
 }
 
-// NumPeers reports how many caches the controller mediates.
-func (c *Controller) NumPeers() int { return c.numPeers }
-
 // Reset clears every line state and deregisters all peers, keeping the
 // directory's capacity. Sweep runners recycle one controller across design
 // points with it.
@@ -355,12 +352,6 @@ func (c *Controller) Evict(p int, line uint64) Result {
 	res := Result{NewState: Invalid, Writeback: s.Dirty()}
 	c.notify(p, OpEvict, line, res)
 	return res
-}
-
-// FlushLine forces peer p's copy back to memory and invalidates it, as a
-// CPU cache-flush instruction does before a DMA transfer.
-func (c *Controller) FlushLine(p int, line uint64) Result {
-	return c.Evict(p, line)
 }
 
 // CheckInvariants validates the single-writer / single-owner properties

@@ -60,9 +60,6 @@ type Stat struct {
 // Path returns the dotted registration path.
 func (s *Stat) Path() string { return s.path }
 
-// Desc returns the one-line description.
-func (s *Stat) Desc() string { return s.desc }
-
 // Kind returns the statistic kind.
 func (s *Stat) Kind() Kind { return s.kind }
 

@@ -54,15 +54,6 @@ func (t *Tracer) Tracks() []string {
 	return out
 }
 
-// Events reports the total number of recorded events.
-func (t *Tracer) Events() int {
-	n := 0
-	for _, tr := range t.tracks {
-		n += len(tr.events)
-	}
-	return n
-}
-
 // Add records an event on the track.
 func (tr *Track) Add(ev Event) { tr.events = append(tr.events, ev) }
 

@@ -259,7 +259,8 @@ func TestSanitizeMachSuite(t *testing.T) {
 			if _, err := Run(Compile(g), cfg); err != nil {
 				t.Fatalf("sanitizer violation: %v", err)
 			}
-			// The DMA path exercises FlushLine and coherent streaming too.
+			// The DMA path runs under the sanitizer too: its flush is the DMA
+			// engine's analytic cost, and its transfers cross the fabric.
 			cfg.Mem = DMA
 			if _, err := Run(Compile(g), cfg); err != nil {
 				t.Fatalf("sanitizer violation (dma): %v", err)
