@@ -474,10 +474,7 @@ func TestWarmStartAcrossRestart(t *testing.T) {
 // aborted point. Replaying such a record as an outcome used to crash the
 // server in the job streamer.
 func TestOutcomelessRecordResimulates(t *testing.T) {
-	empty, err := dse.EncodePoint(&dse.CachedPoint{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := dse.EncodePoint(&dse.CachedPoint{})
 	for name, rec := range map[string][]byte{"json": []byte(`{"schema":1}`), "binary": empty} {
 		t.Run(name, func(t *testing.T) {
 			st, err := store.Open(t.TempDir(), store.Options{})

@@ -24,60 +24,71 @@ import (
 //   - the Obs attachment is excluded: observers change what is recorded,
 //     never what is simulated.
 //
-// The walk follows Config's Plan and panics on a field kind it does not
-// know how to canonicalize (string, slice; a func, chan or map field
-// already fails when the plan is built), so adding a non-canonical field to
-// Config is caught by the canonical-coverage test rather than silently
-// hashed as equal.
+// Each field is written as its tag ("Name="), its value and a ';': a bool as
+// one byte, an integer as 8 big-endian bytes (sign-extended when signed), a
+// float as the 8 big-endian bytes of its float64 bits, a pointer as a
+// presence byte and, when set, its element; an array is its 8-byte
+// big-endian length and its elements, and a nested struct its walked fields.
+// The walk runs Config's compiled Program, which is checked when the package
+// starts: a field kind the encoding cannot write (string, slice; a func,
+// chan or map field already fails when the plan is built) panics there,
+// rather than being silently hashed as equal.
 func (c Config) AppendCanonical(b []byte) []byte {
 	b = append(b, "soc.Config/v1"...)
-	return appendCanonicalValue(b, configPlan, reflect.ValueOf(&c).Elem())
+	return appendCanonical(b, configProgram, RefTo(configProgram, &c))
 }
 
-var configPlan = PlanOf(reflect.TypeOf(Config{}))
+var configProgram = canonicalProgram(PlanOf(reflect.TypeOf(Config{})).Compile())
 
-func appendCanonicalValue(b []byte, p *Plan, v reflect.Value) []byte {
-	switch p.Kind {
-	case reflect.Bool:
-		if v.Bool() {
-			return append(b, 1)
+func appendCanonical(b []byte, p *Program, at Ref) []byte {
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		b = append(b, op.Lit...)
+		switch op.Kind {
+		case reflect.Bool:
+			if at.Bool(op) {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			b = binary.BigEndian.AppendUint64(b, uint64(at.Int(op)))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			b = binary.BigEndian.AppendUint64(b, at.Uint(op))
+		case reflect.Float32, reflect.Float64:
+			// Bit pattern, not value: distinguishes -0 from +0 and keeps NaNs
+			// stable. Validate rejects NaN probabilities anyway.
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(at.Float(op)))
+		default: // reflect.Pointer: canonicalProgram admits no other kind
+			if e, ok := at.Elem(op); ok {
+				b = appendCanonical(append(b, 1), op.Elem, e)
+			} else {
+				b = append(b, 0)
+			}
 		}
-		return append(b, 0)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.BigEndian.AppendUint64(b, uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return binary.BigEndian.AppendUint64(b, v.Uint())
-	case reflect.Float32, reflect.Float64:
-		// Bit pattern, not value: distinguishes -0 from +0 and keeps NaNs
-		// stable. Validate rejects NaN probabilities anyway.
-		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float()))
-	case reflect.Pointer:
-		if v.IsNil() {
-			return append(b, 0)
-		}
-		return appendCanonicalValue(append(b, 1), p.Elem, v.Elem())
-	case reflect.Array:
-		b = binary.BigEndian.AppendUint64(b, uint64(p.Len))
-		for i := 0; i < p.Len; i++ {
-			b = appendCanonicalValue(b, p.Elem, v.Index(i))
-		}
-		return b
-	case reflect.Struct:
-		for _, f := range p.Fields {
-			b = append(b, f.Prefix...)
-			b = appendCanonicalValue(b, f.Plan, v.Field(f.Index))
-			b = append(b, ';')
-		}
-		return b
-	default:
-		panic(fmt.Sprintf("soc: cannot canonicalize %s field of kind %s", p.Type, p.Kind))
 	}
+	return append(b, p.Tail...)
 }
 
-// A Plan is the reflection walk over one type, computed once per type and
-// shared by every walker that must agree on it: the canonical encoding above
-// and the durable point record in internal/dse. It fixes which struct
-// fields are visited, in what order, and under what names.
+// canonicalProgram returns p, after checking that the canonical encoding can
+// write every op in it.
+func canonicalProgram(p *Program) *Program {
+	for _, op := range p.Ops {
+		switch op.Kind {
+		case reflect.String, reflect.Slice:
+			panic(fmt.Sprintf("soc: cannot canonicalize %s field of kind %s", op.Type, op.Kind))
+		case reflect.Pointer:
+			canonicalProgram(op.Elem)
+		}
+	}
+	return p
+}
+
+// A Plan is the walk over one type, computed once per type and shared by
+// every walker that must agree on it: the canonical encoding above and the
+// durable point record in internal/dse, both through the Program compiled
+// from it, and the record's layout fingerprint. It fixes which struct fields
+// are visited, in what order, and under what names.
 type Plan struct {
 	Type reflect.Type
 	Kind reflect.Kind
@@ -93,9 +104,9 @@ type Plan struct {
 
 // A PlanField is one walked struct field.
 type PlanField struct {
-	Index  int    // the argument to reflect.Value.Field
-	Name   string // the field name
-	Prefix string // Name + "=", the field's tag in the canonical encoding
+	Name   string  // the field name
+	Prefix string  // Name + "=", the field's tag in the canonical encoding
+	Offset uintptr // the field's byte offset within its struct
 	*Plan
 }
 
@@ -124,7 +135,7 @@ func PlanOf(t reflect.Type) *Plan {
 			if f.Name == "Obs" {
 				continue
 			}
-			p.Fields = append(p.Fields, PlanField{Index: i, Name: f.Name, Prefix: f.Name + "=", Plan: PlanOf(f.Type)})
+			p.Fields = append(p.Fields, PlanField{Name: f.Name, Prefix: f.Name + "=", Offset: f.Offset, Plan: PlanOf(f.Type)})
 		}
 	default:
 		panic(fmt.Sprintf("soc: cannot walk %s of kind %s", t, p.Kind))

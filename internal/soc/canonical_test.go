@@ -180,3 +180,29 @@ func mutateCanonValue(v reflect.Value) bool {
 	}
 	return true
 }
+
+// TestCanonicalProgramRejectsStringsAndSlices pins when a field the
+// canonical encoding cannot write fails: when its program is checked, which
+// for Config is when the package starts, not at the first value encoded.
+func TestCanonicalProgramRejectsStringsAndSlices(t *testing.T) {
+	type inner struct{ S string }
+	for name, v := range map[string]any{
+		"string":         struct{ S string }{},
+		"slice":          struct{ L []int }{},
+		"nested string":  struct{ P *inner }{},
+		"string element": struct{ A [2]inner }{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a canonical program accepted a %s field", name)
+				}
+			}()
+			canonicalProgram(PlanOf(reflect.TypeOf(v)).Compile())
+		}()
+	}
+	canonicalProgram(PlanOf(reflect.TypeOf(struct {
+		P *TrafficConfig
+		A [2]float32
+	}{})).Compile())
+}
