@@ -857,7 +857,7 @@ func decodeSearchState(data []byte, space SearchSpace, fp string) *searchState {
 
 // checkpointReader reads a checkpoint record. The first malformed value
 // sets bad, and every later read returns zero. It is not the point
-// record's recordReader: that one serves a reflective walk, returns an
+// record's decodeFields: that one runs a compiled field program, returns an
 // error per field and accepts any varint encoding of a value, while a
 // checkpoint is read field by field and accepts only minimal varints, so
 // an accepted record re-encodes to its own bytes.
