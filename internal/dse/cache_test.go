@@ -690,8 +690,17 @@ func TestDecodePointRejectsMalformed(t *testing.T) {
 			t.Fatalf("record truncated to %d of %d bytes: ok=%v err=%v", i, len(valid), ok, err)
 		}
 	}
-	// Result present, then Config.Mem (a uint8) = 300.
-	overflow := binary.AppendUvarint(append(pointHeader(), 0, 0, 0, 1), 300)
+	// A whole record with a result whose Config.Mem (a uint8, the first
+	// field after the Result flag) is 300: only the width check rejects it.
+	whole := EncodePoint(&CachedPoint{Result: &soc.RunResult{Config: soc.DefaultConfig()}})
+	mem := len(pointHeader()) + 4 // Kind, Err, Attempts, the Result flag
+	if !bytes.HasPrefix(whole, append(pointHeader(), 0, 0, 0, 1)) || whole[mem] != byte(soc.DefaultConfig().Mem) {
+		t.Fatalf("record layout moved: % x", whole[:mem+1])
+	}
+	if _, ok, err := DecodePoint(whole); !ok || err != nil {
+		t.Fatalf("valid result record: ok=%v err=%v", ok, err)
+	}
+	overflow := append(binary.AppendUvarint(append([]byte{}, whole[:mem]...), 300), whole[mem+1:]...)
 	for name, data := range map[string][]byte{
 		"string length beyond the record": binary.AppendUvarint(pointHeader(), 1<<40),
 		"huge string length":              binary.AppendUvarint(pointHeader(), math.MaxUint64),
