@@ -330,21 +330,9 @@ func (c *Claim) Outcome(i int) Outcome {
 	return out
 }
 
-// Wait blocks until every point of the claim is final, or returns ctx.Err().
-func (c *Claim) Wait(ctx context.Context) error {
-	for _, e := range c.uniq {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
-}
-
 // Cached counts the claim's distinct points that cost it no simulation:
 // every one it did not queue itself, or that the store served. Call it
-// after Wait.
+// once every point is final.
 func (c *Claim) Cached() int {
 	n := 0
 	for _, e := range c.uniq {

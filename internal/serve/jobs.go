@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gem5aladdin/internal/dse"
+	"gem5aladdin/internal/obs"
 	"gem5aladdin/internal/report"
 	"gem5aladdin/internal/soc"
 )
@@ -106,18 +107,17 @@ func (s *Server) putManifest(j *job, state, errMsg string) {
 	}
 }
 
-// startJob registers and launches a validated job. Holds no locks. The
-// job's context is process-scoped, not request-scoped: the submitting HTTP
-// request returns immediately and the job keeps running until terminal,
-// cancelled, or interrupted by Shutdown.
+// startJob registers and launches a validated job that holds a slot on
+// activeJobs and a drain hold, both released when its goroutine exits.
+// Holds no locks. The job's context is server-scoped, not request-scoped:
+// the submitting HTTP request returns immediately and the job keeps running
+// until terminal, cancelled, or interrupted by Shutdown.
 func (s *Server) startJob(j *job) {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(s.jobCtx)
 	s.jmu.Lock()
 	j.cancel = cancel
 	s.jobs[j.id] = j
 	s.jmu.Unlock()
-	s.activeJobs.Add(1)
-	s.wgJobs.Add(1)
 	go s.runJob(ctx, j)
 }
 
@@ -126,9 +126,9 @@ func (s *Server) startJob(j *job) {
 // and a search's frontier checkpoint in the store — so the next boot
 // resumes the job; a client cancellation is terminal.
 func (s *Server) runJob(ctx context.Context, j *job) {
-	defer s.wgJobs.Done()
-	defer s.activeJobs.Add(-1)
+	defer s.release(&s.activeJobs)
 	defer close(j.done)
+	defer j.cancel()
 
 	err := ctx.Err() // a cancellation may have raced submission
 	if err == nil {
@@ -137,7 +137,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 			if j.req.Search != nil {
 				err = s.runSearch(ctx, j, k)
 			} else {
-				err = s.runGrid(ctx, j, k)
+				_, err = s.runGrid(ctx, j.req.Kernel, k, j.cfgs, j)
 			}
 		}
 	}
@@ -165,31 +165,53 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 }
 
-// runGrid evaluates a grid job and publishes one line per point in request
-// order, then the summary (Pareto front and EDP optimum over the surviving
-// points, failures enumerated). Points the store already holds — a resumed
-// job's finished work — come back without simulating.
-func (s *Server) runGrid(ctx context.Context, j *job, k *soc.Compiled) error {
-	c := s.eval.Submit(ctx, j.req.Kernel, k, j.cfgs)
-	// Dropping the claim lets workers skip any still-queued points.
+// gridRun is a grid's outcome: the summary line a streamed job ends with,
+// which /sweep renders as its response, and what /sweep reports besides.
+type gridRun struct {
+	jobSummaryLine
+	space  dse.Space // the surviving points, in request order
+	cached int       // points that cost this run no simulation
+}
+
+// runGrid evaluates a walked grid on the shared evaluator, waits for its
+// points in request order and returns the summary: the Pareto front and EDP
+// optimum over the surviving points, failures enumerated. Points the store
+// already holds — a resumed job's finished work — come back without
+// simulating. A streamed job j publishes one line per point, then the
+// summary; /sweep passes a nil j and builds no per-point line.
+func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, j *job) (*gridRun, error) {
+	span := obs.SpanFromContext(ctx)
+	lookup := span.Child("cache-lookup")
+	c := s.eval.Submit(ctx, kernel, k, cfgs)
+	lookup.EndSpan()
+	// Dropping the claim releases unstarted points for skipping whether we
+	// finish, time out, or the client disconnects.
 	defer c.Release()
-	space := make(dse.Space, 0, len(j.cfgs))
-	var failures []jobResultLine
-	for i, cfg := range j.cfgs {
+	await := span.Child("await-points")
+	defer await.EndSpan()
+
+	run := &gridRun{space: make(dse.Space, 0, len(cfgs))}
+	for i, cfg := range cfgs {
 		select {
 		case <-c.Done(i):
 		case <-ctx.Done():
-			return ctx.Err()
+			await.SetAttr("timeout", ctx.Err().Error())
+			return nil, ctx.Err()
 		}
 		o := c.Outcome(i)
 		line := jobResultLine{Index: i, Status: "ok"}
 		if o.Res != nil {
-			rec := report.FromResult(j.req.Kernel, o.Res)
-			line.Record = &rec
-			space = append(space, dse.Point{Cfg: cfg, Res: o.Res})
+			run.space = append(run.space, dse.Point{Cfg: cfg, Res: o.Res})
 		} else {
 			line.Status, line.Kind, line.Error, line.Attempts = "failed", o.Kind, o.Err.Error(), o.Attempts
-			failures = append(failures, line)
+			run.Failures = append(run.Failures, line)
+		}
+		if j == nil {
+			continue
+		}
+		if o.Res != nil {
+			rec := report.FromResult(kernel, o.Res)
+			line.Record = &rec
 		}
 		s.publish(j, &line, func() {
 			if o.Res != nil {
@@ -199,20 +221,15 @@ func (s *Server) runGrid(ctx context.Context, j *job, k *soc.Compiled) error {
 			}
 		})
 	}
-	sum := jobSummaryLine{
-		Status:    "summary",
-		Requested: len(j.cfgs),
-		Evaluated: len(space),
-		Failed:    len(failures),
-		Failures:  failures,
-		Pareto:    spaceRecords(j.req.Kernel, space.ParetoFront()),
+	run.cached = c.Cached()
+	run.Status = "summary"
+	run.Requested, run.Evaluated, run.Failed = len(cfgs), len(run.space), len(run.Failures)
+	run.Pareto = spaceRecords(kernel, run.space.ParetoFront())
+	run.EDPOptimal = edpRecord(kernel, run.space)
+	if j != nil {
+		s.publish(j, &run.jobSummaryLine, nil)
 	}
-	if best, ok := space.EDPOptimal(); ok {
-		rec := report.FromResult(j.req.Kernel, best.Res)
-		sum.EDPOptimal = &rec
-	}
-	s.publish(j, &sum, nil)
-	return nil
+	return run, nil
 }
 
 // publish appends one final NDJSON line to the job's stream and wakes the
@@ -294,20 +311,12 @@ func (s *Server) resumeJobs() {
 			lg.Info("resuming interrupted job", "job", j.id,
 				"kernel", j.req.Kernel, "points", j.points)
 		}
+		// A resumed job starts regardless of MaxJobs, and before Shutdown
+		// can begin.
+		s.activeJobs.Add(1)
+		s.wg.Add(1)
 		s.startJob(j)
 	}
-}
-
-// interruptJobs cancels every running job (shutdown path). Manifests stay
-// "running" so a restart resumes them.
-func (s *Server) interruptJobs() {
-	s.jmu.Lock()
-	for _, j := range s.jobs {
-		if j.state == jobRunning && j.cancel != nil {
-			j.cancel()
-		}
-	}
-	s.jmu.Unlock()
 }
 
 // --- HTTP surface ---
@@ -359,49 +368,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "job submission is a POST", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+	req, x, ok := s.admit(w, r, nil, func(code int, msg string) { http.Error(w, msg, code) },
+		gate{noun: "job", active: &s.activeJobs, limit: s.opt.MaxJobs,
+			full: "job limit reached", maxSearch: s.opt.MaxSearchBudget})
+	if !ok {
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad job request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Validate now, so a bad request fails at submission rather than
-	// inside the job goroutine; a grid is walked only once the job limit
-	// admits it.
-	x, err := req.expand(s.opt.PointBudget, s.opt.MaxSearchBudget)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	s.jmu.Lock()
-	running := 0
-	for _, j := range s.jobs {
-		if j.state == jobRunning {
-			running++
-		}
-	}
-	s.jmu.Unlock()
-	if running >= s.opt.MaxJobs {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "job limit reached", http.StatusTooManyRequests)
-		return
-	}
-	if err := x.walk(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
 	id, err := newJobID()
 	if err != nil {
+		s.release(&s.activeJobs)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

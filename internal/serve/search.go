@@ -150,11 +150,8 @@ func (s *Server) runSearch(ctx context.Context, j *job, k *soc.Compiled) error {
 		Rounds:      res.Rounds,
 		Evaluated:   res.Evaluated,
 		Converged:   res.Converged,
+		EDPOptimal:  edpRecord(j.req.Kernel, res.Front),
 		Pareto:      spaceRecords(j.req.Kernel, res.Front),
-	}
-	if best, ok := res.Front.EDPOptimal(); ok {
-		rec := report.FromResult(j.req.Kernel, best.Res)
-		sum.EDPOptimal = &rec
 	}
 	s.publish(j, &sum, nil)
 	return nil

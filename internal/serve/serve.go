@@ -9,15 +9,18 @@
 //
 // Operational behavior:
 //
-//   - Backpressure: at most Options.QueueDepth requests are admitted at
-//     once; beyond that the server answers 429 with a Retry-After hint
-//     instead of queueing unboundedly.
+//   - Backpressure: /sweep requests and POST /jobs pass one admission
+//     path and one gate, which reserves a slot under Options.QueueDepth
+//     for a /sweep request and under Options.MaxJobs for a job; with no
+//     slot free the server answers 429 with a Retry-After hint instead of
+//     queueing unboundedly.
 //   - Cancellation: each request carries a context (client disconnect or
 //     the request/server timeout); a cancelled request drops its claim on
 //     queued points, and points nobody still wants are skipped, so worker
 //     slots are released rather than burned on abandoned work.
-//   - Graceful shutdown: Shutdown stops admissions, drains in-flight
-//     sweeps, then joins the workers.
+//   - Graceful shutdown: Shutdown stops admissions, interrupts running
+//     jobs (they resume on the next boot), drains in-flight sweeps, then
+//     joins the workers.
 //   - Observability: /statsz (gem5-style text, JSON on request) and
 //     /metrics (Prometheus exposition) expose an internal/obs registry
 //     with cache hit rate, queue depth, points/s, and p50/p99 sweep
@@ -27,6 +30,8 @@
 //     GET /trace/{id} replays the trace as Perfetto JSON. Options.Logger
 //     (log/slog) receives request, slow-point, and lifecycle records.
 //
+// A /sweep request runs as a grid job does, inline: the same admission and
+// the same grid run, with no job table entry, no manifest and no stream.
 // Responses are bit-identical to a direct dse.Sweep over the same grid: both
 // run on a dse.Evaluator, and aborted (fault-poisoned) points are compacted
 // out of the space in request order exactly as dse.Sweep does.
@@ -178,15 +183,19 @@ type Server struct {
 	reg *obs.Registry
 	mux *http.ServeMux
 
-	// admit holds one token per admitted request: the backpressure bound.
-	admit chan struct{}
-
 	// eval runs every design point the server evaluates.
 	eval *dse.Evaluator
 
-	// mu orders admissions against Shutdown's drain.
+	// mu orders admissions against Shutdown's drain: a request takes its
+	// hold on wg under mu, and only while closed is false.
 	mu     sync.Mutex
-	closed bool // Shutdown began: admit no new requests
+	closed bool           // Shutdown began: admit no new requests
+	wg     sync.WaitGroup // one hold per admitted /sweep request or job
+
+	// jobCtx is every job's parent; Shutdown cancels it with stopJobs, so a
+	// job admitted just before Shutdown is interrupted like any other.
+	jobCtx   context.Context
+	stopJobs context.CancelFunc
 
 	gmu    sync.Mutex
 	graphs map[string]*graphEntry
@@ -194,9 +203,6 @@ type Server struct {
 	// jmu guards the job table and per-job mutable state.
 	jmu  sync.Mutex
 	jobs map[string]*job
-
-	wgReq  sync.WaitGroup
-	wgJobs sync.WaitGroup
 
 	start time.Time
 
@@ -226,10 +232,9 @@ type Server struct {
 func New(opt Options) *Server {
 	opt.setDefaults()
 	s := &Server{
-		opt:   opt,
-		reg:   obs.NewRegistry(),
-		mux:   http.NewServeMux(),
-		admit: make(chan struct{}, opt.QueueDepth),
+		opt: opt,
+		reg: obs.NewRegistry(),
+		mux: http.NewServeMux(),
 		eval: dse.NewEvaluator(dse.EvaluatorOptions{
 			Workers:      opt.Workers,
 			Store:        opt.Store,
@@ -242,6 +247,7 @@ func New(opt Options) *Server {
 		jobs:   make(map[string]*job),
 		start:  time.Now(),
 	}
+	s.jobCtx, s.stopJobs = context.WithCancel(context.Background())
 	s.registerStats()
 	s.routes()
 	// Resume any jobs a previous process left running in the store. This
@@ -459,22 +465,11 @@ func (f FaultSpec) Config() fault.Config {
 // point budget. Exported so tests can replay the same grid through
 // dse.Sweep and demand bit-identical results.
 func (req SweepRequest) Configs() ([]soc.Config, error) {
-	x, err := req.grid(0)
+	x, err := req.expand(0, 0)
 	if err == nil {
 		err = x.walk()
 	}
 	return x.cfgs, err
-}
-
-// grid expands a /sweep request under the server's point budget, leaving
-// the walk to the caller. An open-ended search does not fit the
-// synchronous /sweep contract, so a search request must be submitted as a
-// job.
-func (req SweepRequest) grid(budget sim.Tick) (expansion, error) {
-	if req.Search != nil {
-		return expansion{}, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
-	}
-	return req.expand(budget, 0)
 }
 
 // maxGridPoints bounds a grid request's cross product, checked before the
@@ -500,7 +495,8 @@ type expansion struct {
 // quick or full, with the lanes…cache_assoc fields overriding axes by name;
 // a search's are its spec's axes, or the default large space for the
 // memory kind, and its budget is clamped to maxSearch. A fabric list adds
-// the fabric axis to either.
+// the fabric axis to either. A zero maxSearch refuses a search, as /sweep
+// does: an open-ended search does not fit the synchronous /sweep contract.
 //
 // budget is the server's point budget, the watchdog of every point whose
 // request leaves watchdog_ticks zero. It is folded into the base config, so
@@ -509,6 +505,9 @@ type expansion struct {
 // restarting with a different -point-timeout starts a search fresh rather
 // than resuming against differently budgeted results.
 func (req SweepRequest) expand(budget sim.Tick, maxSearch int) (expansion, error) {
+	if req.Search != nil && maxSearch == 0 {
+		return expansion{}, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
+	}
 	kind, err := soc.ParseMemKind(req.Mem)
 	if err != nil {
 		return expansion{}, fmt.Errorf("serve: %w", err)
@@ -651,52 +650,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, code)
 	}
 
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad sweep request: "+err.Error())
+	req, x, ok := s.admit(w, r, span, fail, gate{noun: "sweep",
+		active: &s.activeRequests, limit: s.opt.QueueDepth, full: "sweep queue full"})
+	if !ok {
 		return
 	}
-	span.SetAttr("kernel", req.Kernel)
-	x, err := req.grid(s.opt.PointBudget)
-	if err != nil {
-		fail(http.StatusBadRequest, err.Error())
-		return
-	}
-
-	// Admission: the queue-full case answers immediately so clients can
-	// back off instead of piling onto a saturated simulator.
-	adm := span.Child("admission-wait")
-	select {
-	case s.admit <- struct{}{}:
-		adm.EndSpan()
-	default:
-		adm.EndSpan()
-		s.rejected.Add(1)
-		secs := int((s.opt.RetryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		fail(http.StatusTooManyRequests, "sweep queue full")
-		return
-	}
-	defer func() { <-s.admit }()
-	if err := x.walk(); err != nil {
-		fail(http.StatusBadRequest, err.Error())
-		return
-	}
-	span.SetAttr("points", x.points)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		fail(http.StatusServiceUnavailable, "server shutting down")
-		return
-	}
-	s.wgReq.Add(1)
-	s.mu.Unlock()
-	defer s.wgReq.Done()
-	s.activeRequests.Add(1)
-	defer s.activeRequests.Add(-1)
+	defer s.release(&s.activeRequests)
 
 	timeout := s.opt.RequestTimeout
 	if req.TimeoutMS > 0 {
@@ -721,14 +680,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	started := time.Now()
-	resp, code, err := s.sweep(ctx, req, k, x.cfgs)
+	run, err := s.runGrid(ctx, req.Kernel, k, x.cfgs, nil)
 	if err != nil {
-		fail(code, err.Error())
+		fail(http.StatusGatewayTimeout, "serve: sweep unfinished: "+err.Error())
 		return
 	}
+	// A genuine simulation error fails the request; every other failure is
+	// an aborted point, compacted out of the space as dse.Sweep does.
+	for _, f := range run.Failures {
+		if f.Kind == dse.KindError {
+			fail(http.StatusInternalServerError, f.Error)
+			return
+		}
+	}
 	ms := float64(time.Since(started)) / float64(time.Millisecond)
-	resp.ElapsedMS = ms
-	resp.TraceID = tid
+	resp := &SweepResponse{
+		Kernel:          req.Kernel,
+		Mem:             x.cfgs[0].Mem.String(),
+		RequestedPoints: run.Requested,
+		EvaluatedPoints: run.Evaluated,
+		AbortedPoints:   run.Failed,
+		CachedPoints:    run.cached,
+		EDPOptimal:      run.EDPOptimal,
+		Pareto:          run.Pareto,
+		ElapsedMS:       ms,
+		TraceID:         tid,
+	}
+	if req.IncludeSpace {
+		resp.Space = spaceRecords(req.Kernel, run.space)
+	}
 	s.statsMu.Lock()
 	s.latency.Observe(ms)
 	s.statsMu.Unlock()
@@ -752,55 +732,90 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// sweep evaluates the grid on the shared evaluator, waits for every point,
-// and assembles the response in request order with aborted points
-// compacted out — the dse.Sweep contract.
-func (s *Server) sweep(ctx context.Context, req SweepRequest, k *soc.Compiled, cfgs []soc.Config) (*SweepResponse, int, error) {
-	span := obs.SpanFromContext(ctx)
-	lookup := span.Child("cache-lookup")
-	c := s.eval.Submit(ctx, req.Kernel, k, cfgs)
-	lookup.EndSpan()
-	// Dropping the claim releases unstarted points for skipping whether we
-	// finish, time out, or the client disconnects.
-	defer c.Release()
+// gate is what the two grid endpoints admit differently: a /sweep request
+// holds a slot on activeRequests under QueueDepth, a job one on activeJobs
+// under MaxJobs, and only a job may search.
+type gate struct {
+	noun      string        // "sweep" or "job", as a decode error names the request
+	active    *atomic.Int64 // the slots held
+	limit     int
+	full      string // the 429 text
+	maxSearch int    // a search's budget cap; zero refuses searches
+}
 
-	await := span.Child("await-points")
-	defer await.EndSpan()
-	if err := c.Wait(ctx); err != nil {
-		await.SetAttr("timeout", err.Error())
-		return nil, http.StatusGatewayTimeout, fmt.Errorf("serve: sweep unfinished: %v", err)
+// admit runs a grid request's admission, the same steps in the same order
+// at both endpoints: decode the body, expand it (every 400 that needs no
+// enumeration), reserve a slot at the gate (429 when none is free), walk the
+// grid, and take the drain hold unless Shutdown has begun (503). A grid at
+// the maxGridPoints bound holds tens of megabytes of configs, which a
+// request turned away with 429 must not cost, so the walk comes after the
+// gate. On success the caller holds the slot and the hold and must hand
+// both to release; on failure admit has answered through fail.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, span *obs.Span, fail func(code int, msg string), g gate) (SweepRequest, expansion, bool) {
+	var req SweepRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		fail(http.StatusBadRequest, "bad "+g.noun+" request: "+err.Error())
+		return req, expansion{}, false
+	}
+	span.SetAttr("kernel", req.Kernel)
+	x, err := req.expand(s.opt.PointBudget, g.maxSearch)
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return req, x, false
 	}
 
-	space := make(dse.Space, 0, len(cfgs))
-	aborted := 0
-	for i, cfg := range cfgs {
-		switch o := c.Outcome(i); {
-		case o.Res != nil:
-			space = append(space, dse.Point{Cfg: cfg, Res: o.Res})
-		case o.Kind == dse.KindError:
-			return nil, http.StatusInternalServerError, o.Err
-		default:
-			aborted++
+	// The full case answers at once, so clients back off instead of piling
+	// onto a saturated simulator.
+	adm := span.Child("admission-wait")
+	free := reserve(g.active, g.limit)
+	adm.EndSpan()
+	if !free {
+		s.rejected.Add(1)
+		secs := int((s.opt.RetryAfter + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		fail(http.StatusTooManyRequests, g.full)
+		return req, x, false
+	}
+	code := http.StatusBadRequest
+	if err = x.walk(); err == nil {
+		span.SetAttr("points", x.points)
+		s.mu.Lock()
+		if s.closed {
+			code, err = http.StatusServiceUnavailable, errors.New("server shutting down")
+		} else {
+			s.wg.Add(1)
+		}
+		s.mu.Unlock()
+	}
+	if err != nil {
+		g.active.Add(-1)
+		fail(code, err.Error())
+		return req, x, false
+	}
+	return req, x, true
+}
+
+// reserve takes one of limit slots on n, or reports that all are held.
+func reserve(n *atomic.Int64, limit int) bool {
+	for {
+		held := n.Load()
+		if held >= int64(limit) {
+			return false
+		}
+		if n.CompareAndSwap(held, held+1) {
+			return true
 		}
 	}
+}
 
-	resp := &SweepResponse{
-		Kernel:          req.Kernel,
-		Mem:             cfgs[0].Mem.String(),
-		RequestedPoints: len(cfgs),
-		EvaluatedPoints: len(space),
-		AbortedPoints:   aborted,
-		CachedPoints:    c.Cached(),
-		Pareto:          spaceRecords(req.Kernel, space.ParetoFront()),
-	}
-	if best, ok := space.EDPOptimal(); ok {
-		rec := report.FromResult(req.Kernel, best.Res)
-		resp.EDPOptimal = &rec
-	}
-	if req.IncludeSpace {
-		resp.Space = spaceRecords(req.Kernel, space)
-	}
-	return resp, http.StatusOK, nil
+// release hands back an admitted request's slot on active and its drain
+// hold: a /sweep request's when it is answered, a job's when its goroutine
+// exits.
+func (s *Server) release(active *atomic.Int64) {
+	active.Add(-1)
+	s.wg.Done()
 }
 
 func spaceRecords(kernel string, sp dse.Space) []report.Record {
@@ -809,6 +824,17 @@ func spaceRecords(kernel string, sp dse.Space) []report.Record {
 		rs[i] = p.Res
 	}
 	return report.FromResults(kernel, rs)
+}
+
+// edpRecord returns sp's EDP optimum as a report record, or nil when sp is
+// empty.
+func edpRecord(kernel string, sp dse.Space) *report.Record {
+	best, ok := sp.EDPOptimal()
+	if !ok {
+		return nil
+	}
+	rec := report.FromResult(kernel, best.Res)
+	return &rec
 }
 
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
@@ -823,9 +849,10 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(machsuite.Names())
 }
 
-// Shutdown gracefully stops the service: new requests get 503, in-flight
-// sweeps drain (bounded by ctx), then the workers exit. On ctx expiry the
-// workers are still told to wind down, but stragglers are not awaited.
+// Shutdown gracefully stops the service: new requests get 503, running
+// jobs are interrupted, in-flight sweeps drain (bounded by ctx), then the
+// workers exit. On ctx expiry the workers are still told to wind down, but
+// stragglers are not awaited.
 func (s *Server) Shutdown(ctx context.Context) error {
 	lg := s.opt.Logger
 	if lg != nil {
@@ -836,17 +863,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 
-	// Interrupt running jobs first: their goroutines release point claims,
-	// so workers skip the queued backlog via the abandon path instead of
-	// simulating it during drain. Job manifests stay "running" in the store
-	// — the resume signal for the next boot. Client-facing requests still
-	// drain normally below.
-	s.interruptJobs()
+	// Interrupt every job first, one admitted a moment ago included: their
+	// goroutines release point claims, so workers skip the queued backlog
+	// via the abandon path instead of simulating it during drain. Job
+	// manifests stay "running" in the store — the resume signal for the
+	// next boot. /sweep requests still drain normally below.
+	s.stopJobs()
 
 	drained := make(chan struct{})
 	go func() {
-		s.wgJobs.Wait()
-		s.wgReq.Wait()
+		s.wg.Wait()
 		close(drained)
 	}()
 	var err error
