@@ -179,7 +179,7 @@ type gridRun struct {
 // already holds — a resumed job's finished work — come back without
 // simulating. A streamed job j publishes one line per point, then the
 // summary; /sweep passes a nil j and builds no per-point line.
-func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, j *job) (*gridRun, error) {
+func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, j *job) (gridRun, error) {
 	span := obs.SpanFromContext(ctx)
 	lookup := span.Child("cache-lookup")
 	c := s.eval.Submit(ctx, kernel, k, cfgs)
@@ -190,13 +190,13 @@ func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cf
 	await := span.Child("await-points")
 	defer await.EndSpan()
 
-	run := &gridRun{space: make(dse.Space, 0, len(cfgs))}
+	run := gridRun{space: make(dse.Space, 0, len(cfgs))}
 	for i, cfg := range cfgs {
 		select {
 		case <-c.Done(i):
 		case <-ctx.Done():
 			await.SetAttr("timeout", ctx.Err().Error())
-			return nil, ctx.Err()
+			return gridRun{}, ctx.Err()
 		}
 		o := c.Outcome(i)
 		line := jobResultLine{Index: i, Status: "ok"}
@@ -206,20 +206,9 @@ func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cf
 			line.Status, line.Kind, line.Error, line.Attempts = "failed", o.Kind, o.Err.Error(), o.Attempts
 			run.Failures = append(run.Failures, line)
 		}
-		if j == nil {
-			continue
+		if j != nil {
+			s.publishPoint(j, kernel, line, o.Res)
 		}
-		if o.Res != nil {
-			rec := report.FromResult(kernel, o.Res)
-			line.Record = &rec
-		}
-		s.publish(j, &line, func() {
-			if o.Res != nil {
-				j.completed++
-			} else {
-				j.failed++
-			}
-		})
 	}
 	run.cached = c.Cached()
 	run.Status = "summary"
@@ -227,9 +216,28 @@ func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cf
 	run.Pareto = spaceRecords(kernel, run.space.ParetoFront())
 	run.EDPOptimal = edpRecord(kernel, run.space)
 	if j != nil {
-		s.publish(j, &run.jobSummaryLine, nil)
+		sum := run.jobSummaryLine
+		s.publish(j, &sum, nil)
 	}
 	return run, nil
+}
+
+// publishPoint publishes a grid point's stream line, with the point's
+// record when it ran to a result. The line comes by value, and the summary
+// above is copied before publishing, so that /sweep, which streams
+// nothing, allocates neither.
+func (s *Server) publishPoint(j *job, kernel string, line jobResultLine, res *soc.RunResult) {
+	if res != nil {
+		rec := report.FromResult(kernel, res)
+		line.Record = &rec
+	}
+	s.publish(j, &line, func() {
+		if res != nil {
+			j.completed++
+		} else {
+			j.failed++
+		}
+	})
 }
 
 // publish appends one final NDJSON line to the job's stream and wakes the
