@@ -178,7 +178,7 @@ type gridRun struct {
 // optimum over the surviving points, failures enumerated. Points the store
 // already holds — a resumed job's finished work — come back without
 // simulating. A streamed job j publishes one line per point, then the
-// summary; /sweep passes a nil j and builds no per-point line.
+// summary; /sweep passes a nil j and publishes nothing.
 func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, j *job) (gridRun, error) {
 	span := obs.SpanFromContext(ctx)
 	lookup := span.Child("cache-lookup")
