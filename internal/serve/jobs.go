@@ -126,8 +126,10 @@ func (s *Server) startJob(j *job) {
 // and a search's frontier checkpoint in the store — so the next boot
 // resumes the job; a client cancellation is terminal.
 func (s *Server) runJob(ctx context.Context, j *job) {
-	defer s.release(&s.activeJobs)
+	// The slot is released before done closes, so a client that saw its job
+	// end (a DELETE answered, a stream finished) can submit again at once.
 	defer close(j.done)
+	defer s.release(&s.activeJobs)
 	defer j.cancel()
 
 	err := ctx.Err() // a cancellation may have raced submission
@@ -223,9 +225,10 @@ func (s *Server) runGrid(ctx context.Context, kernel string, k *soc.Compiled, cf
 }
 
 // publishPoint publishes a grid point's stream line, with the point's
-// record when it ran to a result. The line comes by value, and the summary
-// above is copied before publishing, so that /sweep, which streams
-// nothing, allocates neither.
+// record when it ran to a result. It takes the line by value, and runGrid
+// copies its summary before publishing it: taking the address of either in
+// runGrid would move it to the heap on /sweep's path too, which publishes
+// nothing.
 func (s *Server) publishPoint(j *job, kernel string, line jobResultLine, res *soc.RunResult) {
 	if res != nil {
 		rec := report.FromResult(kernel, res)
