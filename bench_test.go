@@ -10,12 +10,14 @@ package gem5aladdin_test
 // additionally report the simulated metric they sweep via b.ReportMetric.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
 
 	"gem5aladdin/internal/cpu"
 	"gem5aladdin/internal/ddg"
+	"gem5aladdin/internal/dse"
 	"gem5aladdin/internal/figures"
 	"gem5aladdin/internal/machsuite"
 	"gem5aladdin/internal/mem/bus"
@@ -26,17 +28,23 @@ import (
 	"gem5aladdin/internal/trace"
 )
 
-func benchFigure(b *testing.B, fn func(io.Writer) error) {
+// benchFigure times fn's regeneration of a figure. Each iteration runs on
+// a fresh evaluator, so it simulates every point of the figure rather than
+// reading an earlier iteration's results from memory.
+func benchFigure(b *testing.B, fn func(io.Writer, *dse.Evaluator) error) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if err := fn(io.Discard); err != nil {
+		ev := dse.NewEvaluator(dse.EvaluatorOptions{})
+		err := fn(io.Discard, ev)
+		ev.Close(context.Background())
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig1Stencil3DSweep(b *testing.B) {
-	benchFigure(b, func(w io.Writer) error { return figures.Fig1(w, true) })
+	benchFigure(b, func(w io.Writer, ev *dse.Evaluator) error { return figures.Fig1(w, ev, true) })
 }
 
 func BenchmarkFig2aMdKnnTimeline(b *testing.B) {
@@ -56,23 +64,23 @@ func BenchmarkFig6aDMAOpts(b *testing.B) {
 }
 
 func BenchmarkFig6bParallelism(b *testing.B) {
-	benchFigure(b, func(w io.Writer) error { return figures.Fig6b(w, true) })
+	benchFigure(b, func(w io.Writer, ev *dse.Evaluator) error { return figures.Fig6b(w, ev, true) })
 }
 
 func BenchmarkFig7CacheDecomposition(b *testing.B) {
-	benchFigure(b, func(w io.Writer) error { return figures.Fig7(w, true) })
+	benchFigure(b, func(w io.Writer, ev *dse.Evaluator) error { return figures.Fig7(w, ev, true) })
 }
 
 func BenchmarkFig8Pareto(b *testing.B) {
-	benchFigure(b, func(w io.Writer) error { return figures.Fig8(w, true) })
+	benchFigure(b, func(w io.Writer, ev *dse.Evaluator) error { return figures.Fig8(w, ev, true) })
 }
 
 func BenchmarkFig9Kiviat(b *testing.B) {
-	benchFigure(b, func(w io.Writer) error { return figures.Fig9(w, true) })
+	benchFigure(b, func(w io.Writer, ev *dse.Evaluator) error { return figures.Fig9(w, ev, true) })
 }
 
 func BenchmarkFig10EDP(b *testing.B) {
-	benchFigure(b, func(w io.Writer) error { return figures.Fig10(w, true) })
+	benchFigure(b, func(w io.Writer, ev *dse.Evaluator) error { return figures.Fig10(w, ev, true) })
 }
 
 // --- simulator throughput microbenchmarks ---

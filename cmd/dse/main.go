@@ -271,49 +271,43 @@ func progressLine(round, evaluated, total, frontSize, simulated int, replayed bo
 		round, evaluated, total, frontSize, simulated, suffix)
 }
 
-// runGrid runs the exhaustive sweep. With -progress N the grid is swept in
-// rounds of N points so the progress stream matches the search path's:
-// front size is computed over everything evaluated so far, and simulated
-// counts new store records (every point, when no store is attached).
+// runGrid runs the exhaustive sweep on one evaluator, with -j workers and
+// the -store store. With -progress N the grid is swept in rounds of N
+// points so the progress stream matches the search path's: front size is
+// computed over everything evaluated so far, and simulated counts new store
+// records (every point, when no store is attached). Without it the whole
+// grid is one round.
 func runGrid(ctx context.Context, kern *soc.Compiled, cfgs []soc.Config, st *store.Store, lg *slog.Logger, bench, mem string, full bool, jobs, every int) (dse.Space, error) {
-	swOpts := dse.SweepOptions{Workers: jobs}
-	if st != nil {
-		swOpts.Cache = &dse.StoreCache{Kernel: bench, Store: st}
-	}
+	ev := dse.NewEvaluator(dse.EvaluatorOptions{Workers: jobs, Store: st})
+	defer ev.Close(context.Background())
 	if lg != nil {
 		lg.Info("sweep starting", "bench", bench, "mem", mem,
 			"points", len(cfgs), "workers", jobs, "full", full)
 	}
 	swept := time.Now()
+	size := every
+	if size <= 0 {
+		size = len(cfgs)
+	}
+	stored := 0
+	if st != nil {
+		stored = st.Len()
+	}
 	var space dse.Space
-	var err error
-	if every <= 0 {
-		space, err = dse.Sweep(ctx, kern, cfgs, swOpts)
-	} else {
-		stored := 0
-		if st != nil {
-			stored = st.Len()
+	for off, round := 0, 0; off < len(cfgs); off, round = off+size, round+1 {
+		end := min(off+size, len(cfgs))
+		part, err := ev.Sweep(ctx, bench, kern, cfgs[off:end], nil)
+		if err != nil {
+			return nil, err
 		}
-		for off, round := 0, 0; off < len(cfgs); off, round = off+every, round+1 {
-			end := off + every
-			if end > len(cfgs) {
-				end = len(cfgs)
-			}
-			var part dse.Space
-			part, err = dse.Sweep(ctx, kern, cfgs[off:end], swOpts)
-			if err != nil {
-				break
-			}
-			space = append(space, part...)
+		space = append(space, part...)
+		if every > 0 {
 			simulated := end
 			if st != nil {
 				simulated = st.Len() - stored
 			}
 			progressLine(round, end, len(cfgs), len(space.ParetoFront()), simulated, false)
 		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	if skipped := len(cfgs) - len(space); skipped > 0 {
 		fmt.Fprintf(os.Stderr, "dse: skipped %d of %d design points that aborted under fault injection\n",

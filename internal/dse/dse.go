@@ -82,7 +82,17 @@ type SweepOptions struct {
 func Sweep(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, opts SweepOptions) (Space, error) {
 	ev, kernel := privateEvaluator(opts.Workers, len(cfgs), opts.Cache, opts.Retry)
 	defer ev.Close(context.Background())
-	outs, err := ev.Evaluate(ctx, kernel, k, cfgs, opts.Progress)
+	return ev.Sweep(ctx, kernel, k, cfgs, opts.Progress)
+}
+
+// Sweep evaluates every config on the evaluator's pool, policy and store,
+// and returns the package-level Sweep's space: one point per config with a
+// result, in config order. An aborted point is dropped; a genuine error
+// (KindError) fails the call. kernel names k in point keys, so the sweep
+// shares its points with every other caller of ev; progress is Evaluate's.
+// The results are shared too: a caller must not modify them.
+func (ev *Evaluator) Sweep(ctx context.Context, kernel string, k *soc.Compiled, cfgs []soc.Config, progress func(done, total int)) (Space, error) {
+	outs, err := ev.Evaluate(ctx, kernel, k, cfgs, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -367,9 +377,12 @@ type Improvement struct {
 }
 
 // EDPImprovement runs the comparison for one scenario over its quick or
-// full Fig 3 grid. isolatedOpt is the EDP optimum of the isolated sweep.
-func EDPImprovement(k *soc.Compiled, isolatedOpt Point, sc Scenario, full bool) (Improvement, error) {
-	space, err := Sweep(context.Background(), k, sc.Space(full).Grid(), SweepOptions{})
+// full Fig 3 grid on ev: the scenario sweep and the naive deployment are
+// both evaluated there, under kernel's point keys. isolatedOpt is the EDP
+// optimum of the isolated sweep. A naive deployment that has no result
+// fails the call with its error, as soc.Run would.
+func (ev *Evaluator) EDPImprovement(ctx context.Context, kernel string, k *soc.Compiled, isolatedOpt Point, sc Scenario, full bool) (Improvement, error) {
+	space, err := ev.Sweep(ctx, kernel, k, sc.Space(full).Grid(), nil)
 	if err != nil {
 		return Improvement{}, err
 	}
@@ -406,15 +419,18 @@ func EDPImprovement(k *soc.Compiled, isolatedOpt Point, sc Scenario, full bool) 
 		naive.CacheLineBytes = 32
 		naive.CacheAssoc = 4
 	}
-	naiveRes, err := soc.Run(k, naive)
+	outs, err := ev.Evaluate(ctx, kernel, k, []soc.Config{naive}, nil)
 	if err != nil {
 		return Improvement{}, err
 	}
-	imp := Improvement{
+	naiveRes := outs[0].Res
+	if naiveRes == nil {
+		return Improvement{}, outs[0].Err
+	}
+	return Improvement{
 		Scenario:     sc,
 		IsolatedBest: Point{Cfg: naive, Res: naiveRes},
 		CoBest:       coBest,
 		EDPRatio:     naiveRes.EDPJs / coBest.Res.EDPJs,
-	}
-	return imp, nil
+	}, nil
 }

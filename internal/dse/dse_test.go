@@ -329,7 +329,9 @@ func TestPointMetrics(t *testing.T) {
 // co-designed optimum.
 func TestCoDesignShrinksDesigns(t *testing.T) {
 	k := kernelOf(t, "stencil-stencil3d")
-	isoSpace, err := Sweep(context.Background(), k, Scenarios()[0].Space(false).Grid(), SweepOptions{})
+	ev := NewEvaluator(EvaluatorOptions{})
+	defer ev.Close(context.Background())
+	isoSpace, err := ev.Sweep(context.Background(), "stencil-stencil3d", k, Scenarios()[0].Space(false).Grid(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func TestCoDesignShrinksDesigns(t *testing.T) {
 		t.Fatal("isolated sweep came back empty")
 	}
 
-	imp, err := EDPImprovement(k, isoBest, Scenarios()[1], false)
+	imp, err := ev.EDPImprovement(context.Background(), "stencil-stencil3d", k, isoBest, Scenarios()[1], false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package dse
 
 // The point-evaluation engine. Every way this module evaluates design
-// points — Sweep, Search, and the sweep service's requests and jobs — runs
-// them through one Evaluator: a fixed pool of workers, each reusing one
-// soc.Runner, draining a FIFO queue of content-addressed points.
+// points — Sweep, Search, EDPImprovement, the paper figures, and the sweep
+// service's requests and jobs — runs them through one Evaluator: a fixed
+// pool of workers, each reusing one soc.Runner, draining a FIFO queue of
+// content-addressed points.
 
 import (
 	"context"

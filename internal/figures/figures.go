@@ -7,6 +7,13 @@
 //
 // The functions accept a Quick flag that prunes sweep axes for fast runs;
 // the full sweeps match the Fig 3 parameter table.
+//
+// Every figure that simulates evaluates its design points on the
+// dse.Evaluator its caller passes in, keyed by benchmark name. A caller
+// holds one evaluator for a whole regeneration, so a point that several
+// figures read (Fig 8's grids are Figs 9 and 10's scenario grids, Fig 4
+// and Summary share the validation runs) simulates once and is a memory
+// hit afterwards. Results are shared between figures and never modified.
 package figures
 
 import (
@@ -81,6 +88,28 @@ func Graph(name string) (*ddg.Graph, error) {
 	return k.Graph(), nil
 }
 
+// evaluate evaluates the named benchmark's configs on ev and returns their
+// results in config order. A point without a result fails the call with
+// its error, as soc.Run would.
+func evaluate(ev *dse.Evaluator, name string, cfgs ...soc.Config) ([]*soc.RunResult, error) {
+	k, err := Kernel(name)
+	if err != nil {
+		return nil, err
+	}
+	outs, err := ev.Evaluate(context.Background(), name, k, cfgs, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]*soc.RunResult, len(outs))
+	for i, o := range outs {
+		if o.Res == nil {
+			return nil, o.Err
+		}
+		res[i] = o.Res
+	}
+	return res, nil
+}
+
 func pctOf(part, whole sim.Tick) float64 {
 	if whole == 0 {
 		return 0
@@ -90,8 +119,9 @@ func pctOf(part, whole sim.Tick) float64 {
 
 // Fig1 regenerates the motivating stencil3d design-space comparison:
 // isolated vs co-designed (DMA, 32-bit bus) scatter with EDP optima.
-func Fig1(w io.Writer, quick bool) error {
-	k, err := Kernel("stencil-stencil3d")
+func Fig1(w io.Writer, ev *dse.Evaluator, quick bool) error {
+	const name = "stencil-stencil3d"
+	k, err := Kernel(name)
 	if err != nil {
 		return err
 	}
@@ -100,7 +130,7 @@ func Fig1(w io.Writer, quick bool) error {
 		base := soc.DefaultConfig()
 		base.Mem = mem
 		cfgs := dse.GridSpace(base, !quick, nil).Grid()
-		space, err := dse.Sweep(context.Background(), k, cfgs, dse.SweepOptions{})
+		space, err := ev.Sweep(context.Background(), name, k, cfgs, nil)
 		if err != nil {
 			return err
 		}
@@ -125,18 +155,15 @@ func Fig1(w io.Writer, quick bool) error {
 
 // Fig2a regenerates the md-knn execution timeline at 16 lanes under the
 // baseline DMA flow (the Zedboard measurement of Fig 2a).
-func Fig2a(w io.Writer) error {
-	k, err := Kernel("md-knn")
-	if err != nil {
-		return err
-	}
+func Fig2a(w io.Writer, ev *dse.Evaluator) error {
 	cfg := soc.DefaultConfig()
 	cfg.Lanes, cfg.Partitions = 16, 16
 	cfg.PipelinedDMA, cfg.DMATriggered = false, false
-	r, err := soc.Run(k, cfg)
+	rs, err := evaluate(ev, "md-knn", cfg)
 	if err != nil {
 		return err
 	}
+	r := rs[0]
 	fmt.Fprintln(w, "Figure 2a: md-knn baseline-DMA timeline, 16 lanes")
 	fmt.Fprintf(w, "timeline: %s\n", report.TimelineASCII(r, 72))
 	fmt.Fprintln(w, "          (F flush, D dma, O overlap, C compute, . idle)")
@@ -154,21 +181,18 @@ func Fig2a(w io.Writer) error {
 
 // Fig2b regenerates the MachSuite-wide movement breakdown at 16-way
 // parallelism under the baseline DMA flow.
-func Fig2b(w io.Writer) error {
+func Fig2b(w io.Writer, ev *dse.Evaluator) error {
 	fmt.Fprintln(w, "Figure 2b: flush/DMA/compute breakdown, baseline DMA, 16-way designs")
 	tb := stats.NewTable("benchmark", "flush%", "dma%", "compute%", "total(us)")
 	for _, name := range machsuite.Names() {
-		k, err := Kernel(name)
-		if err != nil {
-			return err
-		}
 		cfg := soc.DefaultConfig()
 		cfg.Lanes, cfg.Partitions = 16, 16
 		cfg.PipelinedDMA, cfg.DMATriggered = false, false
-		r, err := soc.Run(k, cfg)
+		rs, err := evaluate(ev, name, cfg)
 		if err != nil {
 			return err
 		}
+		r := rs[0]
 		b := r.Breakdown
 		tb.Row(name, pctOf(b.FlushOnly, r.Runtime),
 			pctOf(b.DMAFlush+b.Idle, r.Runtime),
@@ -203,24 +227,36 @@ func Fig3(w io.Writer) error {
 	return nil
 }
 
+// validation compares each benchmark of the validation suite, run on its
+// default design under the baseline DMA flow, against the analytic golden
+// model: the errors of Fig 4 and of Summary's first claim, in suite order.
+func validation(ev *dse.Evaluator) ([]golden.Errors, error) {
+	var errs []golden.Errors
+	for _, name := range golden.ValidationSuite() {
+		cfg := soc.DefaultConfig()
+		cfg.PipelinedDMA, cfg.DMATriggered = false, false
+		rs, err := evaluate(ev, name, cfg)
+		if err != nil {
+			return nil, err
+		}
+		g, _ := Graph(name)
+		errs = append(errs, golden.Compare(rs[0], golden.Predict(g, cfg)))
+	}
+	return errs, nil
+}
+
 // Fig4 regenerates the validation table: simulator vs the analytic golden
 // model (the hardware stand-in; see internal/golden).
-func Fig4(w io.Writer) error {
+func Fig4(w io.Writer, ev *dse.Evaluator) error {
+	errs, err := validation(ev)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Figure 4: validation error, simulator vs analytic golden model")
 	tb := stats.NewTable("benchmark", "flush err%", "dma err%", "compute err%", "total err%")
 	var totals []float64
-	for _, name := range golden.ValidationSuite() {
-		k, err := Kernel(name)
-		if err != nil {
-			return err
-		}
-		cfg := soc.DefaultConfig()
-		cfg.PipelinedDMA, cfg.DMATriggered = false, false
-		r, err := soc.Run(k, cfg)
-		if err != nil {
-			return err
-		}
-		e := golden.Compare(r, golden.Predict(k.Graph(), cfg))
+	for i, name := range golden.ValidationSuite() {
+		e := errs[i]
 		tb.Row(name, e.FlushPct, e.DMAPct, e.ComputePct, e.TotalPct)
 		totals = append(totals, e.TotalPct)
 	}
@@ -232,26 +268,34 @@ func Fig4(w io.Writer) error {
 // Fig5 renders the paper's DMA latency-reduction illustration as measured
 // timelines: a synthetic streaming kernel over a 16 KB array under the
 // baseline flow, pipelined DMA, and DMA-triggered computation.
-func Fig5(w io.Writer) error {
+func Fig5(w io.Writer, ev *dse.Evaluator) error {
 	// One pass over 2048 doubles: out[i] = 2*in[i].
-	b := traceBuilderForFig5()
-	k := soc.Compile(ddg.Build(b))
+	tr := traceBuilderForFig5()
+	k := soc.Compile(ddg.Build(tr))
 	fmt.Fprintln(w, "Figure 5: DMA latency reduction techniques (synthetic 16 KB stream)")
 	fmt.Fprintln(w, "(F flush-only, D dma-without-compute, O compute/dma overlap, C compute-only)")
 	type variant struct {
 		name       string
 		pipe, trig bool
 	}
-	for _, v := range []variant{
+	variants := []variant{
 		{"baseline", false, false},
 		{"+pipelined dma", true, false},
 		{"+dma-triggered", true, true},
-	} {
-		cfg := soc.DefaultConfig()
-		cfg.PipelinedDMA, cfg.DMATriggered = v.pipe, v.trig
-		r, err := soc.Run(k, cfg)
-		if err != nil {
-			return err
+	}
+	cfgs := make([]soc.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = soc.DefaultConfig()
+		cfgs[i].PipelinedDMA, cfgs[i].DMATriggered = v.pipe, v.trig
+	}
+	outs, err := ev.Evaluate(context.Background(), tr.Name, k, cfgs, nil)
+	if err != nil {
+		return err
+	}
+	for i, v := range variants {
+		r := outs[i].Res
+		if r == nil {
+			return outs[i].Err
 		}
 		fmt.Fprintf(w, "%-15s %s  %6.1f us\n", v.name,
 			report.TimelineASCII(r, 64), r.Seconds()*1e6)
@@ -277,7 +321,7 @@ func traceBuilderForFig5() *trace.Trace {
 
 // Fig6a regenerates the cumulative DMA-optimization study at 4 lanes:
 // baseline, +pipelined DMA, +DMA-triggered compute.
-func Fig6a(w io.Writer) error {
+func Fig6a(w io.Writer, ev *dse.Evaluator) error {
 	fmt.Fprintln(w, "Figure 6a: cumulative DMA optimizations, 4-lane designs")
 	tb := stats.NewTable("benchmark", "config", "flush-only(us)", "dma/flush(us)",
 		"compute/dma(us)", "compute-only(us)", "total(us)")
@@ -290,19 +334,19 @@ func Fig6a(w io.Writer) error {
 		{"+pipelined", true, false},
 		{"+triggered", true, true},
 	}
+	cfgs := make([]soc.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = soc.DefaultConfig()
+		cfgs[i].Lanes, cfgs[i].Partitions = 4, 4
+		cfgs[i].PipelinedDMA, cfgs[i].DMATriggered = v.pipe, v.trig
+	}
 	for _, name := range Fig6Benchmarks() {
-		k, err := Kernel(name)
+		rs, err := evaluate(ev, name, cfgs...)
 		if err != nil {
 			return err
 		}
-		for _, v := range variants {
-			cfg := soc.DefaultConfig()
-			cfg.Lanes, cfg.Partitions = 4, 4
-			cfg.PipelinedDMA, cfg.DMATriggered = v.pipe, v.trig
-			r, err := soc.Run(k, cfg)
-			if err != nil {
-				return err
-			}
+		for i, v := range variants {
+			r := rs[i]
 			b := r.Breakdown
 			tb.Row(name, v.name, float64(b.FlushOnly)/1e6,
 				float64(b.DMAFlush+b.Idle)/1e6, float64(b.ComputeDMA)/1e6,
@@ -314,7 +358,7 @@ func Fig6a(w io.Writer) error {
 }
 
 // Fig6b regenerates the parallelism sweep with all DMA optimizations on.
-func Fig6b(w io.Writer, quick bool) error {
+func Fig6b(w io.Writer, ev *dse.Evaluator, quick bool) error {
 	fmt.Fprintln(w, "Figure 6b: parallelism sweep with all DMA optimizations")
 	lanes := dse.DefaultLanes()
 	if quick {
@@ -322,19 +366,19 @@ func Fig6b(w io.Writer, quick bool) error {
 	}
 	tb := stats.NewTable("benchmark", "lanes", "movement-only(us)", "compute/dma(us)",
 		"compute-only(us)", "total(us)", "speedup")
+	cfgs := make([]soc.Config, len(lanes))
+	for i, l := range lanes {
+		cfgs[i] = soc.DefaultConfig()
+		cfgs[i].Lanes, cfgs[i].Partitions = l, l
+	}
 	for _, name := range Fig6Benchmarks() {
-		k, err := Kernel(name)
+		rs, err := evaluate(ev, name, cfgs...)
 		if err != nil {
 			return err
 		}
 		var base float64
-		for _, l := range lanes {
-			cfg := soc.DefaultConfig()
-			cfg.Lanes, cfg.Partitions = l, l
-			r, err := soc.Run(k, cfg)
-			if err != nil {
-				return err
-			}
+		for i, l := range lanes {
+			r := rs[i]
 			if base == 0 {
 				base = r.Seconds()
 			}
@@ -351,23 +395,22 @@ func Fig6b(w io.Writer, quick bool) error {
 // fig7CacheSize finds the smallest cache size at which performance
 // saturates for the benchmark (within 2% of the largest size), per the
 // Fig 7 protocol.
-func fig7CacheSize(k *soc.Compiled, lanes int) (int, error) {
+func fig7CacheSize(ev *dse.Evaluator, name string, lanes int) (int, error) {
 	sizes := dse.DefaultCacheKB()
-	var runtimes []sim.Tick
-	for _, kb := range sizes {
-		cfg := soc.DefaultConfig()
-		cfg.Mem = soc.Cache
-		cfg.Lanes = lanes
-		cfg.CacheKB = kb
-		r, err := soc.Run(k, cfg)
-		if err != nil {
-			return 0, err
-		}
-		runtimes = append(runtimes, r.Runtime)
-	}
-	limit := runtimes[len(runtimes)-1]
+	cfgs := make([]soc.Config, len(sizes))
 	for i, kb := range sizes {
-		if float64(runtimes[i]) <= 1.02*float64(limit) {
+		cfgs[i] = soc.DefaultConfig()
+		cfgs[i].Mem = soc.Cache
+		cfgs[i].Lanes = lanes
+		cfgs[i].CacheKB = kb
+	}
+	rs, err := evaluate(ev, name, cfgs...)
+	if err != nil {
+		return 0, err
+	}
+	limit := rs[len(rs)-1].Runtime
+	for i, kb := range sizes {
+		if float64(rs[i].Runtime) <= 1.02*float64(limit) {
 			return kb, nil
 		}
 	}
@@ -377,7 +420,7 @@ func fig7CacheSize(k *soc.Compiled, lanes int) (int, error) {
 // Fig7 regenerates the cache-based decomposition: processing, latency,
 // and bandwidth time versus datapath parallelism (Burger-style: ideal
 // memory; unconstrained-bandwidth cache; fully constrained cache).
-func Fig7(w io.Writer, quick bool) error {
+func Fig7(w io.Writer, ev *dse.Evaluator, quick bool) error {
 	fmt.Fprintln(w, "Figure 7: cache-based accelerators: processing/latency/bandwidth time")
 	lanes := dse.DefaultLanes()
 	benches := Fig8Benchmarks()
@@ -388,49 +431,35 @@ func Fig7(w io.Writer, quick bool) error {
 	tb := stats.NewTable("benchmark", "cacheKB", "lanes", "processing(us)",
 		"latency(us)", "bandwidth(us)", "total(us)")
 	for _, name := range benches {
-		k, err := Kernel(name)
+		kb, err := fig7CacheSize(ev, name, 4)
 		if err != nil {
 			return err
 		}
-		kb, err := fig7CacheSize(k, 4)
-		if err != nil {
-			return err
-		}
+		// Three designs per lane count: processing (ideal single-cycle
+		// memory), latency (cache with effectively unlimited bus/DRAM
+		// bandwidth) and bandwidth (the fully constrained system).
+		var cfgs []soc.Config
 		for _, l := range lanes {
-			mk := func() soc.Config {
-				cfg := soc.DefaultConfig()
-				cfg.Mem = soc.Cache
-				cfg.Lanes = l
-				cfg.CacheKB = kb
-				// Local memory bandwidth scales with the datapath so the
-				// decomposition isolates system-side latency/bandwidth
-				// (ports are a separate Fig 8 axis).
-				cfg.CachePorts = l
-				if cfg.CachePorts > 8 {
-					cfg.CachePorts = 8
-				}
-				return cfg
-			}
-			// Processing: ideal single-cycle memory.
-			ideal := mk()
+			cfg := soc.DefaultConfig()
+			cfg.Mem = soc.Cache
+			cfg.Lanes = l
+			cfg.CacheKB = kb
+			// Local memory bandwidth scales with the datapath so the
+			// decomposition isolates system-side latency/bandwidth
+			// (ports are a separate Fig 8 axis).
+			cfg.CachePorts = min(l, 8)
+			ideal, unbw := cfg, cfg
 			ideal.Mem = soc.Ideal
-			r1, err := soc.Run(k, ideal)
-			if err != nil {
-				return err
-			}
-			// Latency: cache with effectively unlimited bus/DRAM bandwidth.
-			unbw := mk()
 			unbw.BusWidthBits = 4096
 			unbw.DRAM.BytesPerNs = 1e6
-			r2, err := soc.Run(k, unbw)
-			if err != nil {
-				return err
-			}
-			// Bandwidth: the fully constrained system.
-			r3, err := soc.Run(k, mk())
-			if err != nil {
-				return err
-			}
+			cfgs = append(cfgs, ideal, unbw, cfg)
+		}
+		rs, err := evaluate(ev, name, cfgs...)
+		if err != nil {
+			return err
+		}
+		for i, l := range lanes {
+			r1, r2, r3 := rs[3*i], rs[3*i+1], rs[3*i+2]
 			proc := r1.Seconds() * 1e6
 			lat := r2.Seconds()*1e6 - proc
 			bwT := r3.Seconds()*1e6 - r2.Seconds()*1e6
@@ -449,7 +478,7 @@ func Fig7(w io.Writer, quick bool) error {
 
 // Fig8 regenerates the power-performance Pareto frontiers for DMA- and
 // cache-based designs with EDP optima marked.
-func Fig8(w io.Writer, quick bool) error {
+func Fig8(w io.Writer, ev *dse.Evaluator, quick bool) error {
 	fmt.Fprintln(w, "Figure 8: power-performance Pareto curves, DMA vs cache")
 	tb := stats.NewTable("benchmark", "memsys", "lanes", "local", "time(us)",
 		"power(mW)", "EDP(nJ*s)", "")
@@ -462,7 +491,7 @@ func Fig8(w io.Writer, quick bool) error {
 			base := soc.DefaultConfig()
 			base.Mem = mem
 			cfgs := dse.GridSpace(base, !quick, nil).Grid()
-			space, err := dse.Sweep(context.Background(), k, cfgs, dse.SweepOptions{})
+			space, err := ev.Sweep(context.Background(), name, k, cfgs, nil)
 			if err != nil {
 				return err
 			}
@@ -488,33 +517,17 @@ func Fig8(w io.Writer, quick bool) error {
 	return nil
 }
 
-type scenarioResult struct {
-	optima map[string]dse.Point
-	imps   map[string]dse.Improvement
-}
-
-var (
-	scenarioMu    sync.Mutex
-	scenarioCache = map[string]scenarioResult{}
-)
-
 // scenarioOptima computes, per benchmark, the EDP-optimal point of each
-// design scenario (shared by Figs 9 and 10; memoized per benchmark+sweep
-// granularity since the sweeps are the expensive part).
-func scenarioOptima(name string, quick bool) (map[string]dse.Point, map[string]dse.Improvement, error) {
-	key := fmt.Sprintf("%s/quick=%v", name, quick)
-	scenarioMu.Lock()
-	if c, ok := scenarioCache[key]; ok {
-		scenarioMu.Unlock()
-		return c.optima, c.imps, nil
-	}
-	scenarioMu.Unlock()
+// design scenario and the co-design improvement over the isolated optimum
+// (shared by Figs 9, 10 and Summary). The sweeps run on ev, so after the
+// first figure that asks, a benchmark's scenario grids are memory hits.
+func scenarioOptima(ev *dse.Evaluator, name string, quick bool) (map[string]dse.Point, map[string]dse.Improvement, error) {
 	k, err := Kernel(name)
 	if err != nil {
 		return nil, nil, err
 	}
 	scs := dse.Scenarios()
-	isoSpace, err := dse.Sweep(context.Background(), k, scs[0].Space(!quick).Grid(), dse.SweepOptions{})
+	isoSpace, err := ev.Sweep(context.Background(), name, k, scs[0].Space(!quick).Grid(), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -525,28 +538,25 @@ func scenarioOptima(name string, quick bool) (map[string]dse.Point, map[string]d
 	optima := map[string]dse.Point{scs[0].Name: isoBest}
 	imps := map[string]dse.Improvement{}
 	for _, sc := range scs[1:] {
-		imp, err := dse.EDPImprovement(k, isoBest, sc, !quick)
+		imp, err := ev.EDPImprovement(context.Background(), name, k, isoBest, sc, !quick)
 		if err != nil {
 			return nil, nil, err
 		}
 		optima[sc.Name] = imp.CoBest
 		imps[sc.Name] = imp
 	}
-	scenarioMu.Lock()
-	scenarioCache[key] = scenarioResult{optima: optima, imps: imps}
-	scenarioMu.Unlock()
 	return optima, imps, nil
 }
 
 // Fig9 regenerates the Kiviat comparison: lanes / SRAM / local bandwidth
 // of each scenario's EDP optimum, normalized to the isolated design.
-func Fig9(w io.Writer, quick bool) error {
+func Fig9(w io.Writer, ev *dse.Evaluator, quick bool) error {
 	fmt.Fprintln(w, "Figure 9: EDP-optimal microarchitecture parameters by scenario")
 	fmt.Fprintln(w, "(normalized to the isolated design)")
 	tb := stats.NewTable("benchmark", "scenario", "lanes", "sramKB", "localBW(B/cyc)",
 		"lanes/iso", "sram/iso", "bw/iso")
 	for _, name := range Fig8Benchmarks() {
-		optima, _, err := scenarioOptima(name, quick)
+		optima, _, err := scenarioOptima(ev, name, quick)
 		if err != nil {
 			return err
 		}
@@ -567,28 +577,21 @@ func Fig9(w io.Writer, quick bool) error {
 // Summary prints the paper's headline numbers as this reproduction
 // measures them: the validation error (Fig 4) and the geomean/max EDP
 // improvements of co-design (Fig 10).
-func Summary(w io.Writer, quick bool) error {
-	// Validation average.
+func Summary(w io.Writer, ev *dse.Evaluator, quick bool) error {
+	valid, err := validation(ev)
+	if err != nil {
+		return err
+	}
 	var errs []float64
-	for _, name := range golden.ValidationSuite() {
-		k, err := Kernel(name)
-		if err != nil {
-			return err
-		}
-		cfg := soc.DefaultConfig()
-		cfg.PipelinedDMA, cfg.DMATriggered = false, false
-		r, err := soc.Run(k, cfg)
-		if err != nil {
-			return err
-		}
-		errs = append(errs, golden.Compare(r, golden.Predict(k.Graph(), cfg)).TotalPct)
+	for _, e := range valid {
+		errs = append(errs, e.TotalPct)
 	}
 
 	ratios := map[string][]float64{}
 	var maxRatio float64
 	var maxAt string
 	for _, name := range Fig8Benchmarks() {
-		_, imps, err := scenarioOptima(name, quick)
+		_, imps, err := scenarioOptima(ev, name, quick)
 		if err != nil {
 			return err
 		}
@@ -614,13 +617,13 @@ func Summary(w io.Writer, quick bool) error {
 
 // Fig10 regenerates the EDP-improvement study: isolated-optimal designs
 // deployed naively in each system scenario vs co-designed optima.
-func Fig10(w io.Writer, quick bool) error {
+func Fig10(w io.Writer, ev *dse.Evaluator, quick bool) error {
 	fmt.Fprintln(w, "Figure 10: EDP improvement of co-designed over isolated designs")
 	scs := dse.Scenarios()[1:]
 	tb := stats.NewTable("benchmark", scs[0].Name, scs[1].Name, scs[2].Name)
 	ratios := map[string][]float64{}
 	for _, name := range Fig8Benchmarks() {
-		_, imps, err := scenarioOptima(name, quick)
+		_, imps, err := scenarioOptima(ev, name, quick)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,25 @@
 package figures
 
 import (
+	"context"
+	"os"
 	"strings"
 	"testing"
+
+	"gem5aladdin/internal/dse"
 )
+
+// testEv is the evaluator the package's figure tests share, so a point one
+// test simulated is a memory hit for the next. The golden regeneration
+// holds one of its own.
+var testEv *dse.Evaluator
+
+func TestMain(m *testing.M) {
+	testEv = dse.NewEvaluator(dse.EvaluatorOptions{})
+	code := m.Run()
+	testEv.Close(context.Background())
+	os.Exit(code)
+}
 
 // run invokes a figure generator in quick mode and returns its output.
 func run(t *testing.T, fn func(*strings.Builder) error) string {
@@ -20,7 +36,7 @@ func run(t *testing.T, fn func(*strings.Builder) error) string {
 }
 
 func TestFig1(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig1(b, true) })
+	out := run(t, func(b *strings.Builder) error { return Fig1(b, testEv, true) })
 	if !strings.Contains(out, "EDP optimal") {
 		t.Fatal("no EDP optimum marked")
 	}
@@ -30,7 +46,7 @@ func TestFig1(t *testing.T) {
 }
 
 func TestFig2a(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig2a(b) })
+	out := run(t, func(b *strings.Builder) error { return Fig2a(b, testEv) })
 	for _, want := range []string{"flush", "dma", "compute", "total"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
@@ -39,7 +55,7 @@ func TestFig2a(t *testing.T) {
 }
 
 func TestFig2b(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig2b(b) })
+	out := run(t, func(b *strings.Builder) error { return Fig2b(b, testEv) })
 	if strings.Count(out, "\n") < 13 {
 		t.Fatalf("expected one row per benchmark:\n%s", out)
 	}
@@ -55,14 +71,14 @@ func TestFig3(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig4(b) })
+	out := run(t, func(b *strings.Builder) error { return Fig4(b, testEv) })
 	if !strings.Contains(out, "average") {
 		t.Fatal("no average row")
 	}
 }
 
 func TestFig6a(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig6a(b) })
+	out := run(t, func(b *strings.Builder) error { return Fig6a(b, testEv) })
 	for _, want := range []string{"baseline", "+pipelined", "+triggered"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q", want)
@@ -71,14 +87,14 @@ func TestFig6a(t *testing.T) {
 }
 
 func TestFig6b(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig6b(b, true) })
+	out := run(t, func(b *strings.Builder) error { return Fig6b(b, testEv, true) })
 	if !strings.Contains(out, "speedup") {
 		t.Fatal("missing speedup column")
 	}
 }
 
 func TestFig7(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig7(b, true) })
+	out := run(t, func(b *strings.Builder) error { return Fig7(b, testEv, true) })
 	for _, want := range []string{"processing", "latency", "bandwidth"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q", want)
@@ -90,7 +106,7 @@ func TestFig8Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in short mode")
 	}
-	out := run(t, func(b *strings.Builder) error { return Fig8(b, true) })
+	out := run(t, func(b *strings.Builder) error { return Fig8(b, testEv, true) })
 	if strings.Count(out, "* EDP optimal") < 8 {
 		t.Fatalf("expected an EDP star per benchmark and memsys:\n%s", out)
 	}
@@ -100,11 +116,11 @@ func TestFig9And10Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in short mode")
 	}
-	out9 := run(t, func(b *strings.Builder) error { return Fig9(b, true) })
+	out9 := run(t, func(b *strings.Builder) error { return Fig9(b, testEv, true) })
 	if !strings.Contains(out9, "cache-64b") {
 		t.Fatal("missing 64-bit scenario")
 	}
-	out10 := run(t, func(b *strings.Builder) error { return Fig10(b, true) })
+	out10 := run(t, func(b *strings.Builder) error { return Fig10(b, testEv, true) })
 	if !strings.Contains(out10, "average") {
 		t.Fatal("missing average row")
 	}
@@ -131,7 +147,7 @@ func TestSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in short mode")
 	}
-	out := run(t, func(b *strings.Builder) error { return Summary(b, true) })
+	out := run(t, func(b *strings.Builder) error { return Summary(b, testEv, true) })
 	for _, want := range []string{"validation error", "EDP improvement", "geomean"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
@@ -140,7 +156,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
-	out := run(t, func(b *strings.Builder) error { return Fig5(b) })
+	out := run(t, func(b *strings.Builder) error { return Fig5(b, testEv) })
 	for _, want := range []string{"baseline", "+pipelined dma", "+dma-triggered"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q", want)

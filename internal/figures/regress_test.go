@@ -1,10 +1,13 @@
 package figures
 
 import (
+	"context"
 	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"gem5aladdin/internal/dse"
 )
 
 // TestRegeneratedFiguresMatchCommittedOutput regenerates every figure in
@@ -12,6 +15,10 @@ import (
 // the wall-clock "[figure N regenerated in ...]" lines (and their trailing
 // blanks) stripped. Any numeric drift in a figure is a regression — the
 // committed file is the reproduction's reference point.
+//
+// All 13 generators run on one fresh evaluator, and every distinct point
+// must simulate exactly once: a figure that bypassed the evaluator would
+// count fewer simulations, and one that re-simulated a point more.
 func TestRegeneratedFiguresMatchCommittedOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure regeneration in short mode")
@@ -35,29 +42,35 @@ func TestRegeneratedFiguresMatchCommittedOutput(t *testing.T) {
 		want.WriteString(line)
 	}
 
+	ev := dse.NewEvaluator(dse.EvaluatorOptions{})
+	defer ev.Close(context.Background())
 	gens := []struct {
 		name string
 		fn   func(io.Writer) error
 	}{
-		{"1", func(w io.Writer) error { return Fig1(w, true) }},
-		{"2a", Fig2a},
-		{"2b", Fig2b},
+		{"1", func(w io.Writer) error { return Fig1(w, ev, true) }},
+		{"2a", func(w io.Writer) error { return Fig2a(w, ev) }},
+		{"2b", func(w io.Writer) error { return Fig2b(w, ev) }},
 		{"3", Fig3},
-		{"4", Fig4},
-		{"5", Fig5},
-		{"6a", Fig6a},
-		{"6b", func(w io.Writer) error { return Fig6b(w, true) }},
-		{"7", func(w io.Writer) error { return Fig7(w, true) }},
-		{"8", func(w io.Writer) error { return Fig8(w, true) }},
-		{"9", func(w io.Writer) error { return Fig9(w, true) }},
-		{"10", func(w io.Writer) error { return Fig10(w, true) }},
-		{"summary", func(w io.Writer) error { return Summary(w, true) }},
+		{"4", func(w io.Writer) error { return Fig4(w, ev) }},
+		{"5", func(w io.Writer) error { return Fig5(w, ev) }},
+		{"6a", func(w io.Writer) error { return Fig6a(w, ev) }},
+		{"6b", func(w io.Writer) error { return Fig6b(w, ev, true) }},
+		{"7", func(w io.Writer) error { return Fig7(w, ev, true) }},
+		{"8", func(w io.Writer) error { return Fig8(w, ev, true) }},
+		{"9", func(w io.Writer) error { return Fig9(w, ev, true) }},
+		{"10", func(w io.Writer) error { return Fig10(w, ev, true) }},
+		{"summary", func(w io.Writer) error { return Summary(w, ev, true) }},
 	}
 	var got strings.Builder
 	for _, g := range gens {
 		if err := g.fn(&got); err != nil {
 			t.Fatalf("figure %s: %v", g.name, err)
 		}
+	}
+	// The quick figures evaluate 509 distinct (kernel, config) points.
+	if n := ev.Stats().Simulated; n != 509 {
+		t.Errorf("regeneration simulated %d points, want 509: one simulation per distinct point", n)
 	}
 
 	if got.String() != want.String() {
